@@ -614,7 +614,7 @@ mod tests {
         check_source("crates/olap/src/cube.rs", &src, &mut olap);
         assert_eq!(olap.violations.len(), 1);
         let mut cold = LintReport::default();
-        check_source("crates/bench/src/lib.rs", &src, &mut cold);
+        check_source("crates/viz/src/lib.rs", &src, &mut cold);
         assert!(cold.violations.is_empty());
 
         // `#[cfg(test)]` code may spawn bare threads for drills.

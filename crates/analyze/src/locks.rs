@@ -71,7 +71,7 @@ pub struct LockDecl {
     pub line: usize,
     /// Mutex or RwLock.
     pub kind: LockKind,
-    /// Declared via the ranked wrappers (vs a bare std/parking_lot lock).
+    /// Declared via the ranked wrappers (vs a bare `std::sync` lock).
     pub ranked_wrapper: bool,
     /// The struct-field (or binding) name.
     pub field: String,

@@ -7,12 +7,11 @@
 //! instead of depending on a calendar crate.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A calendar date (proleptic Gregorian), valid for any year in
 /// `i32` range. Ordered chronologically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     /// Days since the civil epoch 1970-01-01 (may be negative).
     days: i64,

@@ -3,12 +3,11 @@
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One row of values, positionally aligned with a [`Schema`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     values: Vec<Value>,
 }

@@ -2,11 +2,10 @@
 
 use crate::error::{Error, Result};
 use crate::value::{DataType, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One named, typed field of a record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDef {
     /// Attribute name (e.g. `"FBG"`, `"LyingDBPAverage"`).
     pub name: String,
@@ -57,10 +56,9 @@ impl FieldDef {
 }
 
 /// An ordered collection of fields with O(1) name lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Vec<FieldDef>,
-    #[serde(skip)]
     by_name: HashMap<String, usize>,
 }
 
@@ -154,17 +152,6 @@ impl Schema {
             fields.push(self.field(n)?.clone());
         }
         Schema::new(fields)
-    }
-
-    /// Rebuild the name index (needed after serde deserialisation,
-    /// which skips the derived map).
-    pub fn reindex(&mut self) {
-        self.by_name = self
-            .fields
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect();
     }
 }
 

@@ -1,12 +1,11 @@
 //! Dynamically typed cell values and their declared types.
 
 use crate::date::Date;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Declared type of a schema field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -38,7 +37,7 @@ impl fmt::Display for DataType {
 /// `Null` models a missing clinical measurement — pervasive in
 /// screening data — and is accepted by any nullable field regardless
 /// of its declared type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing measurement.
     Null,

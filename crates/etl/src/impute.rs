@@ -20,7 +20,7 @@
 //! warehouse measures carry a null mask and every aggregate skips
 //! missing values, which is the statistically safer default. The
 //! imputer exists for consumers that need complete vectors (k-means,
-//! external exports) and for the ablation bench.
+//! external exports).
 
 use clinical_types::{Error, Record, Result, Table, Value};
 use std::collections::HashMap;

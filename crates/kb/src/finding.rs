@@ -1,10 +1,9 @@
 //! Findings: the unit of clinical knowledge.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which DD-DGMS component produced a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Source {
     /// OLAP reporting (an aggregate observation, e.g. Fig. 5's gender
     /// crossover).
@@ -48,7 +47,7 @@ impl Source {
 }
 
 /// Lifecycle status of a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FindingStatus {
     /// Observed, awaiting corroboration.
     Candidate,
@@ -71,7 +70,7 @@ impl fmt::Display for FindingStatus {
 }
 
 /// A unit of accumulated clinical knowledge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// Stable id assigned by the knowledge base.
     pub id: u64,

@@ -2,9 +2,8 @@
 
 use crate::finding::{Finding, FindingStatus, Source};
 use clinical_types::{Error, Result};
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -33,6 +32,17 @@ impl KnowledgeBase {
         }
     }
 
+    // A poisoned lock is recovered, not propagated: mutations under
+    // the guard only index, push and store fields, so there is no
+    // half-applied state for a later reader to trip over.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Record evidence for a statement. A new statement becomes a
     /// candidate finding; a repeated statement gains an evidence count
     /// (keeping the strongest strength) and is auto-validated at the
@@ -50,7 +60,7 @@ impl KnowledgeBase {
         if !(0.0..=f64::MAX).contains(&strength) {
             return Err(Error::invalid("evidence strength must be non-negative"));
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(&idx) = inner.by_statement.get(statement) {
             let threshold = self.validation_threshold;
             let f = &mut inner.findings[idx];
@@ -91,7 +101,7 @@ impl KnowledgeBase {
 
     /// Promote a validated finding into guideline material.
     pub fn promote(&self, id: u64) -> Result<()> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let f = inner
             .findings
             .iter_mut()
@@ -112,7 +122,7 @@ impl KnowledgeBase {
         if a == b {
             return Err(Error::invalid("cannot link a finding to itself"));
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let ia = inner
             .findings
             .iter()
@@ -134,18 +144,12 @@ impl KnowledgeBase {
 
     /// Finding by id.
     pub fn get(&self, id: u64) -> Option<Finding> {
-        self.inner
-            .read()
-            .findings
-            .iter()
-            .find(|f| f.id == id)
-            .cloned()
+        self.read().findings.iter().find(|f| f.id == id).cloned()
     }
 
     /// All findings at a status.
     pub fn by_status(&self, status: FindingStatus) -> Vec<Finding> {
-        self.inner
-            .read()
+        self.read()
             .findings
             .iter()
             .filter(|f| f.status == status)
@@ -155,8 +159,7 @@ impl KnowledgeBase {
 
     /// All findings carrying a tag.
     pub fn by_tag(&self, tag: &str) -> Vec<Finding> {
-        self.inner
-            .read()
+        self.read()
             .findings
             .iter()
             .filter(|f| f.tags.iter().any(|t| t == tag))
@@ -166,7 +169,7 @@ impl KnowledgeBase {
 
     /// Total findings.
     pub fn len(&self) -> usize {
-        self.inner.read().findings.len()
+        self.read().findings.len()
     }
 
     /// True when no findings exist.
@@ -177,7 +180,7 @@ impl KnowledgeBase {
     /// Serialise to a line-based text format (one `key\tvalue…` record
     /// per finding) — dependency-free persistence.
     pub fn export_text(&self) -> String {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut out = String::new();
         for f in &inner.findings {
             out.push_str(&format!(
@@ -203,7 +206,7 @@ impl KnowledgeBase {
     pub fn import_text(text: &str, validation_threshold: u32) -> Result<KnowledgeBase> {
         let kb = KnowledgeBase::new(validation_threshold);
         {
-            let mut inner = kb.inner.write();
+            let mut inner = kb.write();
             for (line_no, line) in text.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;

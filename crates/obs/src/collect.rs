@@ -1,7 +1,7 @@
 //! Subscribers: ring buffer, human-readable writer, JSONL exporter.
 
 use crate::json::Json;
-use crate::trace::{EventRecord, SpanId, SpanRecord, Subscriber};
+use crate::trace::{EventRecord, SpanId, SpanRecord, Subscriber, TraceId};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
@@ -97,6 +97,25 @@ impl RingCollector {
             .collect()
     }
 
+    /// Retained spans of one trace. The subscriber is process-global,
+    /// so a collector also receives whatever concurrent threads emit;
+    /// a caller that counts spans roots its work in a span, takes the
+    /// trace from [`SpanGuard::context`](crate::SpanGuard::context)
+    /// and reads only that trace back.
+    pub fn spans_in(&self, trace: TraceId) -> Vec<SpanRecord> {
+        let mut spans = self.spans();
+        spans.retain(|s| s.trace == trace);
+        spans
+    }
+
+    /// Retained events fired inside one trace (see
+    /// [`spans_in`](RingCollector::spans_in)).
+    pub fn events_in(&self, trace: TraceId) -> Vec<EventRecord> {
+        let mut events = self.events();
+        events.retain(|e| e.trace == Some(trace));
+        events
+    }
+
     /// Number of records evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
@@ -156,7 +175,7 @@ pub fn children_of<'a>(spans: &'a [SpanRecord], parent: &SpanRecord) -> Vec<&'a 
 
 /// Render a completed trace as an indented tree (roots first), for
 /// humans. Spans from other traces are ignored.
-pub fn render_trace(spans: &[SpanRecord], trace: crate::trace::TraceId) -> String {
+pub fn render_trace(spans: &[SpanRecord], trace: TraceId) -> String {
     fn emit(out: &mut String, spans: &[&SpanRecord], span: &SpanRecord, depth: usize) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&format!(
@@ -326,7 +345,6 @@ pub fn parse_jsonl(text: &str) -> Vec<Record> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceId;
 
     fn span(name: &str, trace: u64, id: u64, parent: Option<u64>, start: u64) -> SpanRecord {
         SpanRecord {
@@ -354,6 +372,27 @@ mod tests {
         assert_eq!(spans[1].id, SpanId(3));
         assert_eq!(ring.take().len(), 2);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn trace_scoped_reads_ignore_other_traces() {
+        let ring = RingCollector::new(8);
+        ring.on_span(&span("mine", 1, 1, None, 0));
+        ring.on_span(&span("theirs", 2, 2, None, 1));
+        for trace in [Some(TraceId(1)), Some(TraceId(2)), None] {
+            ring.on_event(&EventRecord {
+                name: "e".into(),
+                trace,
+                span: None,
+                at_us: 2,
+                fields: vec![],
+            });
+        }
+        let spans = ring.spans_in(TraceId(1));
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].name, "mine");
+        assert_eq!(ring.events_in(TraceId(1)).len(), 1);
+        assert!(ring.spans_in(TraceId(3)).is_empty());
     }
 
     #[test]

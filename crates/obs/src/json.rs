@@ -1,18 +1,18 @@
 //! A minimal JSON value, encoder and parser.
 //!
-//! The offline `serde` shim provides inert derive markers only (there
-//! is no `serde_json` in the tree), so the exporters carry their own
-//! codec. It covers exactly what observability records and bench
-//! reports need: objects, arrays, strings, integers, floats, bools and
-//! null, with `\uXXXX`-escaped strings. Round-tripping is exact for
-//! the value shapes this workspace emits and is property-tested below.
+//! There is no serializer crate in the tree (the build is offline), so
+//! the exporters carry their own codec. It covers exactly what
+//! observability records and benchmark reports need: objects, arrays,
+//! strings, integers, floats, bools and null, with `\uXXXX`-escaped
+//! strings. Round-tripping is exact for the value shapes this
+//! workspace emits and is property-tested below.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value. Objects use a `BTreeMap` so rendering is
 /// deterministic (stable key order) — important for fingerprintable
-/// bench reports and reproducible JSONL traces.
+/// benchmark reports and reproducible JSONL traces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`

@@ -4,9 +4,9 @@
 //! Four concerns, one crate, zero dependencies:
 //!
 //! * [`trace`] — spans and events with trace ids that survive thread
-//!   boundaries (serve worker pool, parallel cube builds). The
-//!   disabled path is a single relaxed atomic load, so instrumentation
-//!   stays compiled into hot paths unconditionally.
+//!   boundaries (the serve worker pool). The disabled path is a single
+//!   relaxed atomic load, so instrumentation stays compiled into hot
+//!   paths unconditionally.
 //! * [`metrics`] — named counters, gauges and histograms in a
 //!   process-wide or per-subsystem [`MetricsRegistry`], with
 //!   Prometheus-style text exposition and snapshot diffing.
@@ -30,8 +30,8 @@
 //!   burn-rate alerting.
 //!
 //! Records serialise to JSONL through the crate's own minimal
-//! [`json::Json`] codec (the workspace serde shim is derive-only), so
-//! exports round-trip without external dependencies.
+//! [`json::Json`] codec, so exports round-trip without external
+//! dependencies.
 //!
 //! # Quick start
 //!
@@ -92,6 +92,7 @@ pub use watchdog::{
 
 /// Helpers for tests that exercise the process-global subscriber.
 pub mod test_support {
+    use crate::{SpanGuard, TraceId};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// Serialises tests (and doctests/examples) that install a global
@@ -102,5 +103,19 @@ pub mod test_support {
         LOCK.get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Root a trace on the calling thread: everything the thread does
+    /// while the guard lives — and whatever other threads do on its
+    /// behalf under a propagated context — joins the returned trace.
+    /// [`tracing_lock`] keeps subscribers from being swapped, but the
+    /// installed one still hears concurrent threads that trace without
+    /// the lock; a test that counts spans reads its own trace back
+    /// with [`RingCollector::spans_in`](crate::RingCollector::spans_in).
+    /// `None` when no subscriber (or recorder) is live.
+    pub fn rooted_trace() -> Option<(SpanGuard, TraceId)> {
+        let root = crate::span("test.root");
+        let trace = root.context()?.trace;
+        Some((root, trace))
     }
 }

@@ -11,7 +11,7 @@
 //! acquiring thread with a report naming both locks when the declared
 //! order is violated. Since any cycle in a wait-for graph needs at
 //! least one thread acquiring against the order, a rank-clean run is a
-//! deadlock-free run — and every fault-matrix and serve-bench
+//! deadlock-free run — and every fault-matrix and benchmark
 //! execution doubles as an order validator.
 //!
 //! The check follows the same zero-cost-when-disabled discipline as
@@ -257,9 +257,8 @@ fn release(token: Option<u64>) {
 /// A mutex whose acquisitions are validated against the global
 /// [`LockRank`] hierarchy.
 ///
-/// Semantics match the workspace's `parking_lot` shim: `lock()` never
-/// fails and a panicking holder does not poison (the inner guard is
-/// recovered with `into_inner`).
+/// `lock()` never fails and a panicking holder does not poison (the
+/// inner guard is recovered with `into_inner`).
 pub struct RankedMutex<T: ?Sized> {
     rank: LockRank,
     name: &'static str,

@@ -68,8 +68,8 @@ pub struct QueryProfile {
     pub segments_pruned: u64,
     /// Output cells produced by the aggregate phase.
     pub cells_emitted: u64,
-    /// Morsels the vectorized scan claimed from the work queue (0 for
-    /// scalar and legacy scans).
+    /// Morsels the scan kernels ran (0 when every row went through a
+    /// scalar path).
     pub morsels_executed: u64,
     /// Mean rows per executed morsel (0 when no morsels ran) — the
     /// effective scan granularity after segment-boundary clipping.

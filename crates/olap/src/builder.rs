@@ -152,7 +152,6 @@ impl<'w> QueryBuilder<'w> {
             measure: self.measure.clone(),
             agg: self.agg,
             filter: self.filter.clone(),
-            strategy: Default::default(),
         };
         Cube::build(self.warehouse, &spec)
     }

@@ -13,7 +13,9 @@
 //! [`crate::QueryBuilder`].
 
 use crate::aggregate::{Aggregate, CellStats, MeasureRef};
-use crate::kernels::{AggLanes, GroupLayout, KeyLut, LaneKind, MorselQueue, SelectionBitmap};
+use crate::kernels::{
+    morsels, AggLanes, GroupLayout, KeyLut, LaneKind, SelectionBitmap, DEFAULT_MORSEL_ROWS,
+};
 use clinical_types::{Error, Result, Value};
 use segstore::{ColumnSet, Segment, SegmentMeta};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -94,15 +96,8 @@ impl CubeFilter {
         parts.join(" && ")
     }
 
-    /// Evaluate the filter into a row mask.
-    fn mask(&self, warehouse: &Warehouse) -> Result<Vec<bool>> {
-        self.mask_range(warehouse, 0..warehouse.n_facts())
-    }
-
     /// Evaluate the filter over a contiguous fact-row range; entry `i`
-    /// of the returned mask covers fact row `rows.start + i`. Building
-    /// a full cube uses `0..n_facts()`; incremental maintenance masks
-    /// only a delta's appended rows.
+    /// of the returned mask covers fact row `rows.start + i`.
     fn mask_range(&self, warehouse: &Warehouse, rows: Range<usize>) -> Result<Vec<bool>> {
         let mut mask = vec![true; rows.len()];
         for (attr, allowed) in &self.attribute_in {
@@ -128,18 +123,6 @@ impl CubeFilter {
     }
 }
 
-/// Build strategy — the group-by ablation of DESIGN.md §6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildStrategy {
-    /// Hash aggregation (default).
-    #[default]
-    Hash,
-    /// Sort-based aggregation: sort row indices by key, then scan runs.
-    Sort,
-    /// Hash aggregation across worker threads, merged at the end.
-    ParallelHash,
-}
-
 /// Specification of a cube.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubeSpec {
@@ -151,8 +134,6 @@ pub struct CubeSpec {
     pub agg: Aggregate,
     /// Row filter.
     pub filter: CubeFilter,
-    /// Build strategy.
-    pub strategy: BuildStrategy,
 }
 
 impl CubeSpec {
@@ -163,7 +144,6 @@ impl CubeSpec {
             measure: MeasureRef::RowCount,
             agg: Aggregate::Count,
             filter: CubeFilter::all(),
-            strategy: BuildStrategy::Hash,
         }
     }
 
@@ -174,7 +154,6 @@ impl CubeSpec {
             measure: MeasureRef::Measure(measure.into()),
             agg,
             filter: CubeFilter::all(),
-            strategy: BuildStrategy::Hash,
         }
     }
 
@@ -186,7 +165,6 @@ impl CubeSpec {
             measure: MeasureRef::DistinctDegenerate(degenerate.into()),
             agg: Aggregate::Count,
             filter: CubeFilter::all(),
-            strategy: BuildStrategy::Hash,
         }
     }
 
@@ -196,17 +174,10 @@ impl CubeSpec {
         self
     }
 
-    /// Replace the strategy.
-    pub fn with_strategy(mut self, strategy: BuildStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Canonical fingerprint of the *result* this spec produces. Two
     /// specs with equal fingerprints build identical cubes: filter
-    /// conjuncts are order-insensitive, and the build strategy is
-    /// excluded because every strategy computes the same cells. Axis
-    /// order stays significant (it fixes coordinate order).
+    /// conjuncts are order-insensitive. Axis order stays significant
+    /// (it fixes coordinate order).
     pub fn fingerprint(&self) -> String {
         format!(
             "cube|axes={}|measure={:?}|agg={:?}|filter={}",
@@ -238,8 +209,11 @@ pub struct Cube {
     pub measure: MeasureRef,
     /// The aggregate function.
     pub agg: Aggregate,
-    cells: HashMap<Vec<Value>, CellStats>,
+    cells: Cells,
 }
+
+/// Cell accumulators by axis-value coordinates.
+type Cells = HashMap<Vec<Value>, CellStats>;
 
 impl Cube {
     /// Build a cube over `warehouse` per `spec`.
@@ -279,37 +253,25 @@ impl Cube {
     /// [`Cube::build`] returning the scan statistics alongside the
     /// cube — how many sealed segments the scan pruned and how many
     /// rows it actually visited (the numbers query profiles report).
+    ///
+    /// There is nothing to configure: which of the three paths runs
+    /// (see [`ScanStats`]) follows from the warehouse's sealed state
+    /// and the spec's group domain alone.
     pub fn build_with_stats(warehouse: &Warehouse, spec: &CubeSpec) -> Result<(Cube, ScanStats)> {
-        Cube::build_with_options(warehouse, spec, &ScanOptions::default())
-    }
-
-    /// [`Cube::build_with_stats`] with explicit [`ScanOptions`] (the
-    /// pruning-ablation entry point used by the scan bench).
-    pub fn build_with_options(
-        warehouse: &Warehouse,
-        spec: &CubeSpec,
-        options: &ScanOptions,
-    ) -> Result<(Cube, ScanStats)> {
         let mut span = obs::span("olap.cube_build");
-        let (cells, stats) = match SegmentedScan::plan(warehouse, spec, options)? {
+        let (cells, stats) = match SegmentedScan::plan(warehouse, spec)? {
             Some(scan) => scan.execute()?,
             None => {
-                let inputs = CubeInputs::resolve(warehouse, spec)?;
-                let cells = match spec.strategy {
-                    BuildStrategy::Hash => inputs.build_hash(),
-                    BuildStrategy::Sort => inputs.build_sort(),
-                    BuildStrategy::ParallelHash => inputs.build_parallel()?,
-                };
+                let n = warehouse.n_facts();
+                let mut cells = Cells::new();
+                fold_rows(warehouse, spec, 0..n, &mut cells)?;
                 let stats = ScanStats {
-                    segments_total: warehouse.segments().len() as u64,
-                    segments_pruned: 0,
-                    rows_scanned: inputs.n_rows() as u64,
-                    morsels_executed: 0,
+                    rows_scanned: n as u64,
+                    ..ScanStats::default()
                 };
                 (cells, stats)
             }
         };
-        span.record("strategy", format!("{:?}", spec.strategy));
         span.record("rows", stats.rows_scanned);
         span.record("segments_pruned", stats.segments_pruned);
         span.record("cells", cells.len());
@@ -388,29 +350,7 @@ impl Cube {
             )));
         }
         let mut span = obs::span("olap.cube_apply_delta");
-        let axis_cols = spec
-            .axes
-            .iter()
-            .map(|a| warehouse.attribute_column_range(a, rows.clone()))
-            .collect::<Result<Vec<_>>>()?;
-        let measure_col = match &spec.measure {
-            MeasureRef::Measure(name) => Some(warehouse.measure(name)?),
-            MeasureRef::RowCount | MeasureRef::DistinctDegenerate(_) => None,
-        };
-        let mask = spec.filter.mask_range(warehouse, rows.clone())?;
-        let mut folded = 0usize;
-        for (i, row) in rows.clone().enumerate() {
-            if !mask[i] {
-                continue;
-            }
-            let key: Vec<Value> = axis_cols.iter().map(|c| c[i].clone()).collect();
-            let cell = self
-                .cells
-                .entry(key)
-                .or_insert_with(|| CellStats::new(false));
-            cell.push(measure_col.and_then(|m| m.get(row)), None);
-            folded += 1;
-        }
+        let folded = fold_rows(warehouse, spec, rows.clone(), &mut self.cells)?;
         span.record("appended", rows.len());
         span.record("folded", folded);
         span.record("cells", self.cells.len());
@@ -548,231 +488,81 @@ impl Cube {
     }
 }
 
-/// Resolved, column-oriented inputs for a cube build.
-struct CubeInputs<'a> {
-    axis_cols: Vec<Vec<&'a Value>>,
-    measure_col: Option<&'a warehouse::MeasureColumn>,
-    distinct_col: Option<&'a [Value]>,
-    mask: Vec<bool>,
-    count_valid_only: bool,
-}
-
-impl<'a> CubeInputs<'a> {
-    fn resolve(wh: &'a Warehouse, spec: &CubeSpec) -> Result<Self> {
-        if spec.axes.is_empty() {
-            return Err(Error::invalid("a cube needs at least one axis"));
-        }
-        let axis_cols = spec
-            .axes
-            .iter()
-            .map(|a| wh.attribute_column(a))
-            .collect::<Result<Vec<_>>>()?;
-        let (measure_col, distinct_col, count_valid_only) = match &spec.measure {
-            MeasureRef::RowCount => (None, None, false),
-            MeasureRef::Measure(name) => (Some(wh.measure(name)?), None, true),
-            MeasureRef::DistinctDegenerate(name) => {
-                (None, Some(wh.degenerate_column(name)?), false)
-            }
-        };
-        Ok(CubeInputs {
-            axis_cols,
-            measure_col,
-            distinct_col,
-            mask: spec.filter.mask(wh)?,
-            count_valid_only,
-        })
+/// The row loop: fold every fact row of `rows` that passes the spec's
+/// filter into `cells`, resolving attribute values through the
+/// dimension tables row by row. Returns how many rows passed.
+///
+/// This is the path that answers any buildable spec in any warehouse
+/// state, so it is what runs wherever sealed segments cannot: the
+/// whole table when nothing is sealed or [`SegmentedScan::plan`]
+/// declines, the mutable tail behind the sealed prefix otherwise, and
+/// a delta's appended range in [`Cube::apply_delta`].
+fn fold_rows(
+    warehouse: &Warehouse,
+    spec: &CubeSpec,
+    rows: Range<usize>,
+    cells: &mut Cells,
+) -> Result<usize> {
+    if spec.axes.is_empty() {
+        return Err(Error::invalid("a cube needs at least one axis"));
     }
-
-    fn n_rows(&self) -> usize {
-        self.mask.len()
-    }
-
-    fn key_of(&self, row: usize) -> Vec<Value> {
-        self.axis_cols.iter().map(|c| c[row].clone()).collect()
-    }
-
-    fn push_row(&self, cell: &mut CellStats, row: usize) {
-        let measure = self.measure_col.and_then(|m| m.get(row));
-        let distinct = self.distinct_col.map(|c| &c[row]);
-        // For Measure cells a missing value still counts the row but
-        // not the valid set; push handles both.
-        let _ = self.count_valid_only;
-        cell.push(measure, distinct);
-    }
-
-    fn track_distinct(&self) -> bool {
-        self.distinct_col.is_some()
-    }
-
-    fn build_hash(&self) -> HashMap<Vec<Value>, CellStats> {
-        let mut cells: HashMap<Vec<Value>, CellStats> = HashMap::new();
-        for row in 0..self.n_rows() {
-            if !self.mask[row] {
-                continue;
-            }
-            let key = self.key_of(row);
-            let cell = cells
-                .entry(key)
-                .or_insert_with(|| CellStats::new(self.track_distinct()));
-            self.push_row(cell, row);
-        }
-        cells
-    }
-
-    fn build_sort(&self) -> HashMap<Vec<Value>, CellStats> {
-        let mut rows: Vec<usize> = (0..self.n_rows()).filter(|&r| self.mask[r]).collect();
-        rows.sort_by(|&a, &b| {
-            for col in &self.axis_cols {
-                let ord = col[a].cmp(col[b]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        let mut cells: HashMap<Vec<Value>, CellStats> = HashMap::new();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i;
-            let key = self.key_of(rows[i]);
-            let mut cell = CellStats::new(self.track_distinct());
-            while j < rows.len()
-                && self
-                    .axis_cols
-                    .iter()
-                    .all(|col| col[rows[j]] == col[rows[i]])
-            {
-                self.push_row(&mut cell, rows[j]);
-                j += 1;
-            }
-            cells.insert(key, cell);
-            i = j;
-        }
-        cells
-    }
-
-    fn build_parallel(&self) -> Result<HashMap<Vec<Value>, CellStats>> {
-        let n = self.n_rows();
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-            .clamp(1, 8);
-        if n < 4096 || workers == 1 {
-            return Ok(self.build_hash());
-        }
-        let chunk = n.div_ceil(workers);
-        // Worker spans must be parented explicitly: the build fans out
-        // to scope threads, where the thread-local span stack is empty.
-        let ctx = obs::current_context();
-        let partials = crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                handles.push(
-                    scope.spawn(move |_| -> Result<HashMap<Vec<Value>, CellStats>> {
-                        let mut worker_span = obs::span_child_of("olap.cube_build_worker", ctx);
-                        worker_span.record("worker", w);
-                        worker_span.record("rows", hi - lo);
-                        // Error-mode faults fail this worker's chunk (and
-                        // so the whole build, cleanly); panic-mode faults
-                        // exercise the scope-join containment below.
-                        fault::point("olap.cube_worker")
-                            .map_err(|e| Error::invalid(e.to_string()))?;
-                        let mut cells: HashMap<Vec<Value>, CellStats> = HashMap::new();
-                        for row in lo..hi {
-                            if !self.mask[row] {
-                                continue;
-                            }
-                            let cell = cells
-                                .entry(self.key_of(row))
-                                .or_insert_with(|| CellStats::new(self.track_distinct()));
-                            self.push_row(cell, row);
-                        }
-                        Ok(cells)
-                    }),
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<std::thread::Result<Vec<_>>>()
-        })
-        // Both layers fail only when a worker panicked; surface that
-        // as a query error instead of propagating the panic.
-        .and_then(|inner| inner)
-        .map_err(|_| Error::invalid("cube build worker panicked"))?
-        .into_iter()
+    // Entry `i` of an axis column and of the mask covers fact row
+    // `rows.start + i`; measure and degenerate columns are whole.
+    let axis_cols = spec
+        .axes
+        .iter()
+        .map(|a| warehouse.attribute_column_range(a, rows.clone()))
         .collect::<Result<Vec<_>>>()?;
-
-        let mut merged: HashMap<Vec<Value>, CellStats> = HashMap::new();
-        for partial in partials {
-            for (key, stats) in partial {
-                merged
-                    .entry(key)
-                    .or_insert_with(|| CellStats::new(self.track_distinct()))
-                    .merge(&stats);
-            }
+    let (measure_col, distinct_col) = match &spec.measure {
+        MeasureRef::RowCount => (None, None),
+        MeasureRef::Measure(name) => (Some(warehouse.measure(name)?), None),
+        MeasureRef::DistinctDegenerate(name) => (None, Some(warehouse.degenerate_column(name)?)),
+    };
+    let mask = spec.filter.mask_range(warehouse, rows.clone())?;
+    let mut folded = 0;
+    for (i, row) in rows.enumerate() {
+        if !mask[i] {
+            continue;
         }
-        Ok(merged)
+        let key: Vec<Value> = axis_cols.iter().map(|c| c[i].clone()).collect();
+        let cell = cells
+            .entry(key)
+            .or_insert_with(|| CellStats::new(distinct_col.is_some()));
+        // A missing measure value still counts the row, just not
+        // toward the valid set; `push` handles both.
+        cell.push(
+            measure_col.and_then(|m| m.get(row)),
+            distinct_col.map(|c| &c[row]),
+        );
+        folded += 1;
     }
+    Ok(folded)
 }
 
 /// Volume statistics of one cube build: how much of the warehouse the
-/// scan touched, and how much pruning avoided.
+/// scan touched, and how much pruning avoided. Together the fields
+/// also say which path answered:
+///
+/// | observed | path |
+/// |---|---|
+/// | `segments_total == 0` | row loop over the whole fact table |
+/// | `morsels_executed > 0` | kernels over sealed segments (+ row loop over the tail) |
+/// | `segments_total > 0`, `morsels_executed == 0` | scalar hash per sealed segment (+ row loop over the tail) |
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Sealed segments the build considered (0 on the legacy
-    /// whole-column path when nothing is sealed).
+    /// Sealed segments the build considered: 0 when the row loop
+    /// answered the whole table, because nothing is sealed or the
+    /// sealed rows could not be proven to mirror the fact table.
     pub segments_total: u64,
     /// Sealed segments skipped on zone-map evidence alone — never
     /// fetched, never decoded.
     pub segments_pruned: u64,
     /// Fact rows actually visited (surviving segments plus the
-    /// mutable tail; the whole fact table on the legacy path).
+    /// mutable tail, or the whole fact table).
     pub rows_scanned: u64,
-    /// Morsels the vectorized path claimed from the work queue (0 on
-    /// the scalar and legacy paths).
+    /// Morsels the kernels ran (0 when every row went through the
+    /// scalar segment hash or the row loop).
     pub morsels_executed: u64,
-}
-
-/// Toggles for the segmented scan — the ablation axes of the scan
-/// bench. Production uses [`ScanOptions::default`] (everything on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanOptions {
-    /// Consult zone maps to skip whole segments.
-    pub zone_pruning: bool,
-    /// Fetch only the columns the spec references (with the disk
-    /// backend, unreferenced columns are never even decoded).
-    pub column_pruning: bool,
-    /// Permit the segmented path at all; `false` forces the legacy
-    /// whole-column scan (the bench baseline).
-    pub segments: bool,
-    /// Run surviving segments through the vectorized kernels
-    /// (selection bitmaps, dense group ids, aggregate lanes) instead
-    /// of the row-at-a-time scalar loop. The scan silently falls back
-    /// to the scalar loop when the dense group domain would exceed
-    /// [`crate::kernels::MAX_DENSE_GROUPS`].
-    pub vectorized: bool,
-    /// Rows per morsel on the vectorized path (clamped to ≥ 1).
-    pub morsel_rows: usize,
-    /// Worker-thread override for [`BuildStrategy::ParallelHash`]
-    /// builds; `None` sizes the pool from the machine's available
-    /// parallelism (clamped to 8, the bench's thread-sweep knob).
-    pub workers: Option<usize>,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions {
-            zone_pruning: true,
-            column_pruning: true,
-            segments: true,
-            vectorized: true,
-            morsel_rows: crate::kernels::DEFAULT_MORSEL_ROWS,
-            workers: None,
-        }
-    }
 }
 
 /// A validated segmented scan: the spec's columns all exist in the
@@ -791,18 +581,14 @@ struct SegmentedScan<'a> {
     columns: ColumnSet,
     metas: Vec<Arc<SegmentMeta>>,
     watermark: usize,
-    zone_pruning: bool,
-    vectorized: bool,
-    morsel_rows: usize,
-    workers: Option<usize>,
 }
 
 /// Surrogate-key cell map produced by a segment scan, before keys are
 /// translated to attribute values.
 type RawCells = HashMap<Vec<u32>, CellStats>;
 
-/// One morsel worker's accumulation state: its aggregate lanes plus
-/// the selection/group-id scratch vectors reused across morsels.
+/// The kernels' accumulation state: the aggregate lanes plus the
+/// selection/group-id scratch vectors reused across morsels.
 struct KernelState {
     lanes: AggLanes,
     sel: Vec<u32>,
@@ -835,15 +621,12 @@ impl DenseGrouping {
 impl<'a> SegmentedScan<'a> {
     /// Decide whether `spec` can run as a segmented scan over
     /// `warehouse`, and resolve everything the scan needs if so.
-    /// `Ok(None)` means "use the legacy whole-column path" — never an
-    /// error, since the legacy path answers every buildable spec.
-    fn plan(
-        warehouse: &'a Warehouse,
-        spec: &'a CubeSpec,
-        options: &ScanOptions,
-    ) -> Result<Option<SegmentedScan<'a>>> {
+    /// `Ok(None)` means "run the row loop over the whole table" —
+    /// never an error, since the row loop answers every buildable
+    /// spec.
+    fn plan(warehouse: &'a Warehouse, spec: &'a CubeSpec) -> Result<Option<SegmentedScan<'a>>> {
         let seg = warehouse.segments();
-        if !options.segments || spec.axes.is_empty() || seg.watermark() == 0 || seg.is_empty() {
+        if spec.axes.is_empty() || seg.watermark() == 0 || seg.is_empty() {
             return Ok(None);
         }
         // Sealed rows mirror fact rows 0..watermark only while nothing
@@ -866,7 +649,7 @@ impl<'a> SegmentedScan<'a> {
 
         // Resolve every referenced column against the sealed schema;
         // anything missing (e.g. a feedback dimension added after the
-        // last compaction) falls back to the legacy path.
+        // last compaction) declines.
         let mut axes = Vec::with_capacity(spec.axes.len());
         let mut columns = ColumnSet::empty();
         for attr in &spec.axes {
@@ -943,7 +726,7 @@ impl<'a> SegmentedScan<'a> {
         // resolve — disables column pruning instead of guessing.
         let catalog = analyze::Catalog::from_star(warehouse.star());
         let footprint = crate::semantic::footprint_cube(&catalog, spec);
-        if footprint.is_conservative() || !options.column_pruning {
+        if footprint.is_conservative() {
             columns = ColumnSet::all();
         } else {
             for dim in footprint.dimensions() {
@@ -961,10 +744,6 @@ impl<'a> SegmentedScan<'a> {
             columns,
             metas,
             watermark: seg.watermark(),
-            zone_pruning: options.zone_pruning,
-            vectorized: options.vectorized,
-            morsel_rows: options.morsel_rows,
-            workers: options.workers,
         }))
     }
 
@@ -992,7 +771,7 @@ impl<'a> SegmentedScan<'a> {
     }
 
     /// Scan one surviving segment into a partial cell map.
-    fn scan_segment(&self, meta: &SegmentMeta) -> Result<HashMap<Vec<u32>, CellStats>> {
+    fn scan_segment(&self, meta: &SegmentMeta) -> Result<RawCells> {
         fault::point("olap.segment_scan").map_err(|e| Error::invalid(e.to_string()))?;
         let segment = self.warehouse.fetch_segment(meta.id, &self.columns)?;
         let missing =
@@ -1041,7 +820,7 @@ impl<'a> SegmentedScan<'a> {
         // Group by raw surrogate keys: the hot loop never touches the
         // dictionary, and the (few) groups are translated to attribute
         // values once per cell in `execute`.
-        let mut cells: HashMap<Vec<u32>, CellStats> = HashMap::new();
+        let mut cells = RawCells::new();
         'rows: for r in 0..segment.rows() {
             for (col, allowed) in &filter_keys {
                 if !allowed.contains(&col[r]) {
@@ -1095,8 +874,8 @@ impl<'a> SegmentedScan<'a> {
 
     /// Vectorized scan of one morsel: fold every predicate into a
     /// selection bitmap, compose dense group ids for the survivors,
-    /// then stream them into the worker's aggregate lanes. The
-    /// scratch vectors in `state` are reused across morsels.
+    /// then stream them into the aggregate lanes. The scratch vectors
+    /// in `state` are reused across morsels.
     fn scan_morsel(
         &self,
         segment: &Segment,
@@ -1142,13 +921,13 @@ impl<'a> SegmentedScan<'a> {
         Ok(())
     }
 
-    /// Kernel path over the surviving segments: plan morsels into a
-    /// shared queue, let workers claim them dynamically, merge lanes,
-    /// and decode occupied group ids back to surrogate-key tuples.
-    /// `Ok(None)` means "use the scalar loop" (vectorization disabled
-    /// or the group domain is too large for dense lanes).
+    /// Kernel path over the surviving segments: cut them into morsels,
+    /// run each through the kernels into one set of lanes, and decode
+    /// occupied group ids back to surrogate-key tuples. `Ok(None)`
+    /// means "use the scalar segment hash": the group domain is too
+    /// large for dense lanes.
     fn vectorized_cells(&self, survivors: &[&Arc<SegmentMeta>]) -> Result<Option<(RawCells, u64)>> {
-        if !self.vectorized || survivors.is_empty() {
+        if survivors.is_empty() {
             return Ok(None);
         }
         let grouping = match self.dense_grouping() {
@@ -1172,87 +951,34 @@ impl<'a> SegmentedScan<'a> {
             MeasureRef::DistinctDegenerate(_) => LaneKind::Distinct,
         };
         let segment_rows: Vec<usize> = survivors.iter().map(|m| m.rows as usize).collect();
-        let queue = MorselQueue::plan(&segment_rows, self.morsel_rows);
-        let worker_count = if self.spec.strategy == BuildStrategy::ParallelHash {
-            self.workers
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(4)
-                })
-                .clamp(1, 8)
-                .min(queue.len().max(1))
-        } else {
-            1
+        let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
+        let mut state = KernelState {
+            lanes: AggLanes::new(kind, grouping.layout.groups()),
+            sel: Vec::new(),
+            gids: Vec::new(),
         };
-        // One worker's life: claim a morsel, reuse (or fetch) its
-        // segment, run the kernels, repeat until the queue is dry.
-        // The per-worker segment memo makes consecutive morsels of
-        // one segment a single fetch even on cold backends.
-        let run_worker = |worker: usize,
-                          ctx: Option<obs::SpanContext>|
-         -> Result<(AggLanes, u64)> {
-            let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
-            let mut span = obs::span_child_of("olap.morsel_worker", ctx);
-            span.record("worker", worker);
-            let mut state = KernelState {
-                lanes: AggLanes::new(kind, grouping.layout.groups()),
-                sel: Vec::new(),
-                gids: Vec::new(),
+        let mut executed = 0u64;
+        // Consecutive morsels of one segment share a single fetch,
+        // even on cold backends.
+        let mut cached: Option<(usize, Arc<Segment>)> = None;
+        for m in morsels(&segment_rows, DEFAULT_MORSEL_ROWS) {
+            let segment = match &cached {
+                Some((s, seg)) if *s == m.segment => Arc::clone(seg),
+                _ => {
+                    fault::point("olap.segment_scan").map_err(|e| Error::invalid(e.to_string()))?;
+                    let meta = survivors[m.segment];
+                    let seg = self.warehouse.fetch_segment(meta.id, &self.columns)?;
+                    cached = Some((m.segment, Arc::clone(&seg)));
+                    seg
+                }
             };
-            let mut executed = 0u64;
-            let mut rows_seen = 0u64;
-            let mut cached: Option<(usize, Arc<Segment>)> = None;
-            while let Some(m) = queue.pop() {
-                let segment = match &cached {
-                    Some((s, seg)) if *s == m.segment => Arc::clone(seg),
-                    _ => {
-                        fault::point("olap.segment_scan")
-                            .map_err(|e| Error::invalid(e.to_string()))?;
-                        let meta = survivors[m.segment];
-                        let seg = self.warehouse.fetch_segment(meta.id, &self.columns)?;
-                        cached = Some((m.segment, Arc::clone(&seg)));
-                        seg
-                    }
-                };
-                let mut morsel_span = obs::span("olap.morsel");
-                morsel_span.record("segment", survivors[m.segment].id);
-                morsel_span.record("rows", m.rows.len());
-                self.scan_morsel(&segment, m.rows.clone(), &grouping, &luts, &mut state)?;
-                rows_seen += m.rows.len() as u64;
-                executed += 1;
-            }
-            span.record("morsels", executed);
-            span.record("rows", rows_seen);
-            Ok((state.lanes, executed))
-        };
-        let (lanes, executed) = if worker_count <= 1 {
-            run_worker(0, obs::current_context())?
-        } else {
-            let ctx = obs::current_context();
-            let run_worker = &run_worker;
-            let results = crossbeam::scope(|scope| {
-                let handles: Vec<_> = (0..worker_count)
-                    .map(|w| scope.spawn(move |_| run_worker(w, ctx)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join())
-                    .collect::<std::thread::Result<Vec<_>>>()
-            })
-            .and_then(|inner| inner)
-            .map_err(|_| Error::invalid("morsel worker panicked"))?
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-            let mut merged = AggLanes::new(kind, grouping.layout.groups());
-            let mut total = 0u64;
-            for (worker_lanes, n) in results {
-                merged.merge(worker_lanes);
-                total += n;
-            }
-            (merged, total)
-        };
-        let cells = lanes.into_cells();
+            let mut morsel_span = obs::span("olap.morsel");
+            morsel_span.record("segment", survivors[m.segment].id);
+            morsel_span.record("rows", m.rows.len());
+            self.scan_morsel(&segment, m.rows, &grouping, &luts, &mut state)?;
+            executed += 1;
+        }
+        let cells = state.lanes.into_cells();
         let mut raw = HashMap::with_capacity(cells.len());
         for (gid, stats) in cells {
             raw.insert(grouping.axis_keys(&grouping.layout.decode(gid)), stats);
@@ -1261,15 +987,14 @@ impl<'a> SegmentedScan<'a> {
     }
 
     /// Run the scan: prune on zone maps, run survivors through the
-    /// vectorized kernels (morsel-parallel under
-    /// [`BuildStrategy::ParallelHash`]) with the scalar row loop as
-    /// fallback, then fold the mutable tail through the legacy row
-    /// path.
-    fn execute(&self) -> Result<(HashMap<Vec<Value>, CellStats>, ScanStats)> {
+    /// kernels — or, when the group domain is too large for them,
+    /// through the scalar hash segment by segment — then fold the
+    /// mutable tail through the row loop.
+    fn execute(&self) -> Result<(Cells, ScanStats)> {
         let survivors: Vec<&Arc<SegmentMeta>> = self
             .metas
             .iter()
-            .filter(|m| !self.zone_pruning || self.survives_zones(m))
+            .filter(|m| self.survives_zones(m))
             .collect();
         let mut stats = ScanStats {
             segments_total: self.metas.len() as u64,
@@ -1278,57 +1003,15 @@ impl<'a> SegmentedScan<'a> {
             morsels_executed: 0,
         };
         let track = self.track_distinct();
-        let raw_cells: HashMap<Vec<u32>, CellStats> = match self.vectorized_cells(&survivors)? {
+        let raw_cells = match self.vectorized_cells(&survivors)? {
             Some((cells, morsels)) => {
                 stats.morsels_executed = morsels;
                 cells
             }
             None => {
-                let partials: Vec<HashMap<Vec<u32>, CellStats>> =
-                    if self.spec.strategy == BuildStrategy::ParallelHash && survivors.len() > 1 {
-                        let workers = self
-                            .workers
-                            .unwrap_or_else(|| {
-                                std::thread::available_parallelism()
-                                    .map(std::num::NonZeroUsize::get)
-                                    .unwrap_or(4)
-                            })
-                            .clamp(1, 8)
-                            .min(survivors.len());
-                        let chunk = survivors.len().div_ceil(workers);
-                        let ctx = obs::current_context();
-                        crossbeam::scope(|scope| {
-                            let mut handles = Vec::new();
-                            for (w, batch) in survivors.chunks(chunk).enumerate() {
-                                handles.push(scope.spawn(move |_| -> Result<Vec<_>> {
-                                    let mut span =
-                                        obs::span_child_of("olap.cube_build_worker", ctx);
-                                    span.record("worker", w);
-                                    span.record("segments", batch.len());
-                                    batch.iter().map(|m| self.scan_segment(m)).collect()
-                                }));
-                            }
-                            handles
-                                .into_iter()
-                                .map(|h| h.join())
-                                .collect::<std::thread::Result<Vec<_>>>()
-                        })
-                        .and_then(|inner| inner)
-                        .map_err(|_| Error::invalid("segment scan worker panicked"))?
-                        .into_iter()
-                        .collect::<Result<Vec<Vec<_>>>>()?
-                        .into_iter()
-                        .flatten()
-                        .collect()
-                    } else {
-                        survivors
-                            .iter()
-                            .map(|m| self.scan_segment(m))
-                            .collect::<Result<Vec<_>>>()?
-                    };
-                let mut merged: HashMap<Vec<u32>, CellStats> = HashMap::new();
-                for partial in partials {
-                    for (key, partial_cell) in partial {
+                let mut merged = RawCells::new();
+                for meta in &survivors {
+                    for (key, partial_cell) in self.scan_segment(meta)? {
                         merged
                             .entry(key)
                             .or_insert_with(|| CellStats::new(track))
@@ -1342,7 +1025,7 @@ impl<'a> SegmentedScan<'a> {
         // Translate each surrogate-key group to attribute values —
         // once per cell, not once per row.
         let dims = self.warehouse.dimensions();
-        let mut cells: HashMap<Vec<Value>, CellStats> = HashMap::with_capacity(raw_cells.len());
+        let mut cells = Cells::with_capacity(raw_cells.len());
         for (raw_key, cell) in raw_cells {
             let mut key = Vec::with_capacity(raw_key.len());
             for (k, (dim, di, ai)) in raw_key.iter().zip(&self.axes) {
@@ -1361,40 +1044,11 @@ impl<'a> SegmentedScan<'a> {
                 .merge(&cell);
         }
 
-        // The mutable tail — rows appended since the last compaction —
-        // runs through the legacy whole-column path, restricted to the
-        // tail range.
+        // The mutable tail: rows appended since the last compaction.
         let tail = self.watermark..self.warehouse.n_facts();
         if !tail.is_empty() {
-            let axis_cols = self
-                .spec
-                .axes
-                .iter()
-                .map(|a| self.warehouse.attribute_column_range(a, tail.clone()))
-                .collect::<Result<Vec<_>>>()?;
-            let mask = self.spec.filter.mask_range(self.warehouse, tail.clone())?;
-            let measure_col = match &self.spec.measure {
-                MeasureRef::Measure(name) => Some(self.warehouse.measure(name)?),
-                MeasureRef::RowCount | MeasureRef::DistinctDegenerate(_) => None,
-            };
-            let distinct_col = match &self.spec.measure {
-                MeasureRef::DistinctDegenerate(name) => {
-                    Some(self.warehouse.degenerate_column(name)?)
-                }
-                MeasureRef::RowCount | MeasureRef::Measure(_) => None,
-            };
-            for (i, row) in tail.clone().enumerate() {
-                if !mask[i] {
-                    continue;
-                }
-                let key: Vec<Value> = axis_cols.iter().map(|c| c[i].clone()).collect();
-                let cell = cells.entry(key).or_insert_with(|| CellStats::new(track));
-                cell.push(
-                    measure_col.and_then(|m| m.get(row)),
-                    distinct_col.map(|c| &c[row]),
-                );
-            }
             stats.rows_scanned += tail.len() as u64;
+            fold_rows(self.warehouse, self.spec, tail, &mut cells)?;
         }
         Ok((cells, stats))
     }
@@ -1407,7 +1061,7 @@ mod tests {
     use warehouse::{DimensionDef, FactDef, LoadPlan, StarSchema};
 
     #[test]
-    fn fingerprint_ignores_strategy_and_conjunct_order() {
+    fn fingerprint_ignores_conjunct_order() {
         let base = CubeSpec::count(vec!["A", "B"]).with_filter(
             CubeFilter::all()
                 .equals("X", "yes")
@@ -1419,18 +1073,6 @@ mod tests {
                 .equals("X", "yes"),
         );
         assert_eq!(base.fingerprint(), reordered.fingerprint());
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_strategy(BuildStrategy::Sort)
-                .fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_strategy(BuildStrategy::ParallelHash)
-                .fingerprint()
-        );
     }
 
     #[test]
@@ -1639,24 +1281,6 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree() {
-        let wh = demo_warehouse();
-        for strategy in [
-            BuildStrategy::Hash,
-            BuildStrategy::Sort,
-            BuildStrategy::ParallelHash,
-        ] {
-            let cube = Cube::build(
-                &wh,
-                &CubeSpec::count(vec!["Gender", "Age_Band"]).with_strategy(strategy),
-            )
-            .unwrap();
-            assert_eq!(cube.value(&k(&["F", "60-80"])), Some(3.0), "{strategy:?}");
-            assert_eq!(cube.n_cells(), 3, "{strategy:?}");
-        }
-    }
-
-    #[test]
     fn top_k_ranks_descending_with_stable_ties() {
         let wh = demo_warehouse();
         let cube = Cube::build(&wh, &CubeSpec::count(vec!["Gender", "Age_Band"])).unwrap();
@@ -1791,18 +1415,17 @@ mod tests {
 
     // ---- segmented scans -------------------------------------------------
 
-    /// Legacy whole-column build of the same spec (the oracle the
-    /// segmented path must agree with).
-    fn legacy(wh: &Warehouse, spec: &CubeSpec) -> (Cube, ScanStats) {
-        Cube::build_with_options(
-            wh,
-            spec,
-            &ScanOptions {
-                segments: false,
-                ..ScanOptions::default()
-            },
-        )
-        .unwrap()
+    /// The row loop over the whole fact table, whatever is sealed: the
+    /// oracle the segmented paths must agree with.
+    fn row_loop(wh: &Warehouse, spec: &CubeSpec) -> Cube {
+        let mut cells = Cells::new();
+        fold_rows(wh, spec, 0..wh.n_facts(), &mut cells).unwrap();
+        Cube {
+            axes: spec.axes.clone(),
+            measure: spec.measure.clone(),
+            agg: spec.agg,
+            cells,
+        }
     }
 
     /// Warehouse with an append-order-correlated `Age_Band` (so zone
@@ -1838,7 +1461,7 @@ mod tests {
     }
 
     #[test]
-    fn segmented_build_matches_legacy_for_every_measure_kind() {
+    fn segmented_build_matches_the_row_loop_for_every_measure_kind() {
         let mut wh = banded_warehouse();
         compact_small(&mut wh);
         let specs = [
@@ -1850,7 +1473,7 @@ mod tests {
         ];
         for spec in specs {
             let (seg, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-            assert_eq!(seg, legacy(&wh, &spec).0, "spec {}", spec.fingerprint());
+            assert_eq!(seg, row_loop(&wh, &spec), "spec {}", spec.fingerprint());
             assert_eq!(stats.segments_total, 3);
             assert_eq!(stats.segments_pruned, 0, "no filter, nothing to prune");
             assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
@@ -1864,7 +1487,7 @@ mod tests {
         let spec = CubeSpec::count(vec!["Gender"])
             .with_filter(CubeFilter::all().equals("Age_Band", "40-60"));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
+        assert_eq!(cube, row_loop(&wh, &spec));
         assert_eq!(stats.segments_total, 3);
         assert_eq!(stats.segments_pruned, 2, "only the 40-60 segment survives");
         assert_eq!(stats.rows_scanned, 8);
@@ -1880,27 +1503,10 @@ mod tests {
         let spec = CubeSpec::count(vec!["Age_Band"])
             .with_filter(CubeFilter::all().measure_between("FBG", 7.0, 9.0));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
+        assert_eq!(cube, row_loop(&wh, &spec));
         assert_eq!(stats.segments_pruned, 2);
         assert_eq!(stats.rows_scanned, 8);
         assert_eq!(cube.grand_total(), Some(4.0)); // 7.0, 7.25, 7.5, 7.75
-    }
-
-    #[test]
-    fn pruning_ablation_scans_everything_but_agrees() {
-        let mut wh = banded_warehouse();
-        compact_small(&mut wh);
-        let spec = CubeSpec::count(vec!["Gender"])
-            .with_filter(CubeFilter::all().equals("Age_Band", "20-40"));
-        let ablated = ScanOptions {
-            zone_pruning: false,
-            column_pruning: false,
-            ..ScanOptions::default()
-        };
-        let (cube, stats) = Cube::build_with_options(&wh, &spec, &ablated).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
-        assert_eq!(stats.segments_pruned, 0);
-        assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
     }
 
     #[test]
@@ -1916,7 +1522,7 @@ mod tests {
         let spec = CubeSpec::count(vec!["Gender"])
             .with_filter(CubeFilter::all().equals("Age_Band", "40-60"));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
+        assert_eq!(cube, row_loop(&wh, &spec));
         assert_eq!(stats.segments_pruned, 2, "tail does not disable pruning");
         assert_eq!(stats.rows_scanned, 8 + 2);
         assert_eq!(cube.value(&k(&["F"])), Some(5.0));
@@ -1924,24 +1530,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_agrees_on_segments() {
+    fn kernels_agree_with_the_row_loop() {
         let mut wh = banded_warehouse();
         compact_small(&mut wh);
-        let spec = CubeSpec::measure(vec!["Gender", "Age_Band"], Aggregate::Sum, "FBG")
-            .with_strategy(BuildStrategy::ParallelHash);
-        let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
-        assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
-    }
-
-    #[test]
-    fn vectorized_and_scalar_segment_paths_agree() {
-        let mut wh = banded_warehouse();
-        compact_small(&mut wh);
-        let scalar_options = ScanOptions {
-            vectorized: false,
-            ..ScanOptions::default()
-        };
         let specs = [
             CubeSpec::count(vec!["Gender", "Age_Band"]),
             CubeSpec::measure(vec!["Age_Band"], Aggregate::Sum, "FBG"),
@@ -1954,63 +1545,9 @@ mod tests {
             ),
         ];
         for spec in specs {
-            let (vec_cube, vec_stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-            let (scalar_cube, scalar_stats) =
-                Cube::build_with_options(&wh, &spec, &scalar_options).unwrap();
-            assert_eq!(vec_cube, scalar_cube, "spec {}", spec.fingerprint());
-            assert_eq!(
-                vec_cube,
-                legacy(&wh, &spec).0,
-                "spec {}",
-                spec.fingerprint()
-            );
-            assert!(vec_stats.morsels_executed > 0, "kernel path must run");
-            assert_eq!(scalar_stats.morsels_executed, 0, "scalar path claims none");
-            assert_eq!(vec_stats.rows_scanned, scalar_stats.rows_scanned);
-            assert_eq!(vec_stats.segments_pruned, scalar_stats.segments_pruned);
-        }
-    }
-
-    #[test]
-    fn morsel_size_controls_queue_granularity() {
-        let mut wh = banded_warehouse();
-        compact_small(&mut wh); // 3 segments × 8 rows
-        let spec = CubeSpec::measure(vec!["Gender", "Age_Band"], Aggregate::Sum, "FBG");
-        let fine = ScanOptions {
-            morsel_rows: 4,
-            ..ScanOptions::default()
-        };
-        let (cube, stats) = Cube::build_with_options(&wh, &spec, &fine).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
-        assert_eq!(stats.morsels_executed, 6, "8-row segments split into two");
-
-        let coarse = ScanOptions {
-            morsel_rows: 1 << 20,
-            ..ScanOptions::default()
-        };
-        let (cube2, stats2) = Cube::build_with_options(&wh, &spec, &coarse).unwrap();
-        assert_eq!(cube2, cube);
-        assert_eq!(stats2.morsels_executed, 3, "one morsel per segment");
-    }
-
-    #[test]
-    fn morsel_workers_agree_with_sequential_build() {
-        let mut wh = banded_warehouse();
-        compact_small(&mut wh);
-        // Dyadic FBG values make per-group sums order-insensitive, so
-        // any morsel-to-worker assignment must reproduce the
-        // sequential cube exactly.
-        let spec = CubeSpec::measure(vec!["Gender", "Age_Band"], Aggregate::Sum, "FBG")
-            .with_strategy(BuildStrategy::ParallelHash);
-        for workers in [1usize, 2, 4, 8] {
-            let options = ScanOptions {
-                morsel_rows: 4,
-                workers: Some(workers),
-                ..ScanOptions::default()
-            };
-            let (cube, stats) = Cube::build_with_options(&wh, &spec, &options).unwrap();
-            assert_eq!(cube, legacy(&wh, &spec).0, "{workers} workers");
-            assert_eq!(stats.morsels_executed, 6);
+            let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
+            assert_eq!(cube, row_loop(&wh, &spec), "spec {}", spec.fingerprint());
+            assert!(stats.morsels_executed > 0, "kernel path must run");
         }
     }
 
@@ -2018,7 +1555,7 @@ mod tests {
     fn oversized_group_domain_falls_back_to_scalar_loop() {
         // Two ~300-value dimensions: the dense domain (300 × 300 =
         // 90 000) exceeds MAX_DENSE_GROUPS, so the build must take the
-        // scalar hash path — and still agree with the legacy build.
+        // scalar hash path — and still agree with the row loop.
         let star = StarSchema::new(
             FactDef::new("Facts", vec!["M"], vec![]),
             vec![
@@ -2055,7 +1592,7 @@ mod tests {
 
         let wide = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
         let (cube, stats) = Cube::build_with_stats(&wh, &wide).unwrap();
-        assert_eq!(cube, legacy(&wh, &wide).0);
+        assert_eq!(cube, row_loop(&wh, &wide));
         assert_eq!(
             stats.morsels_executed, 0,
             "dense lanes must refuse 90k groups"
@@ -2063,7 +1600,7 @@ mod tests {
 
         let narrow = CubeSpec::measure(vec!["B"], Aggregate::Sum, "M");
         let (cube2, stats2) = Cube::build_with_stats(&wh, &narrow).unwrap();
-        assert_eq!(cube2, legacy(&wh, &narrow).0);
+        assert_eq!(cube2, row_loop(&wh, &narrow));
         assert!(stats2.morsels_executed > 0, "150 groups fit dense lanes");
     }
 
@@ -2073,7 +1610,7 @@ mod tests {
         // shape: Gender and Age_Band share the personal dimension).
         // Squaring the cardinality would blow MAX_DENSE_GROUPS; the
         // shared radix slot keeps the dense domain at 300, so the
-        // vectorized path must run — and agree with the legacy build.
+        // vectorized path must run — and agree with the row loop.
         let star = StarSchema::new(
             FactDef::new("Facts", vec!["M"], vec![]),
             vec![DimensionDef::new("D", vec!["A", "B"])],
@@ -2107,7 +1644,7 @@ mod tests {
 
         let spec = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, legacy(&wh, &spec).0);
+        assert_eq!(cube, row_loop(&wh, &spec));
         assert!(
             stats.morsels_executed > 0,
             "same-dimension axes must stay on the kernel path: {stats:?}"
@@ -2115,21 +1652,23 @@ mod tests {
     }
 
     #[test]
-    fn feedback_dimension_after_compaction_falls_back_to_legacy() {
+    fn feedback_dimension_after_compaction_falls_back_to_the_row_loop() {
         let mut wh = banded_warehouse();
         compact_small(&mut wh);
         let labels: Vec<Value> = (0..wh.n_facts() as i64).map(Value::Int).collect();
         wh.add_feedback_dimension("Review", "Flag", labels).unwrap();
         // The sealed schema lacks the Review key column, so a spec
-        // reading it must take the whole-column path — and a spec that
-        // doesn't read it is still blocked by the structural delta.
+        // reading it is answered by the row loop over the whole table;
+        // a spec that doesn't read it keeps scanning segments.
         let spec = CubeSpec::count(vec!["Flag"]);
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(stats.segments_pruned, 0);
+        assert_eq!(stats.segments_total, 0, "no segment was considered");
+        assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
         assert_eq!(cube.grand_total(), Some(wh.n_facts() as f64));
         let unrelated = CubeSpec::count(vec!["Gender"]);
         let (cube2, stats2) = Cube::build_with_stats(&wh, &unrelated).unwrap();
-        assert_eq!(cube2, legacy(&wh, &unrelated).0);
+        assert_eq!(cube2, row_loop(&wh, &unrelated));
+        assert_eq!(stats2.segments_total, 3);
         assert_eq!(stats2.rows_scanned, wh.n_facts() as u64);
         // Re-compacting seals the new dimension and re-enables the
         // segmented path for it.

@@ -4,11 +4,10 @@
 //! vectorized path keeps one flat array ("lane") per statistic,
 //! indexed by the dense group id from
 //! [`GroupLayout`](crate::kernels::GroupLayout). Accumulation is then
-//! `lane[gid] op= value` in a tight loop; workers merge lanes
-//! element-wise; only at finalisation do occupied groups materialise
-//! into the [`CellStats`] accumulators the rest of the engine
-//! understands — bit-for-bit equal to what sequential
-//! [`CellStats::push`] calls would have produced.
+//! `lane[gid] op= value` in a tight loop; only at finalisation do
+//! occupied groups materialise into the [`CellStats`] accumulators
+//! the rest of the engine understands — bit-for-bit equal to what
+//! sequential [`CellStats::push`] calls would have produced.
 
 use crate::aggregate::CellStats;
 use clinical_types::Value;
@@ -28,7 +27,7 @@ pub enum LaneKind {
     Distinct,
 }
 
-/// Per-group accumulator lanes for one worker.
+/// Per-group accumulator lanes for one build.
 ///
 /// ```
 /// use olap::kernels::{AggLanes, LaneKind};
@@ -161,45 +160,6 @@ impl AggLanes {
         }
     }
 
-    /// Merge another worker's lanes element-wise (same semantics as
-    /// [`CellStats::merge`] per group). Both sides must share the
-    /// kind and group count; mismatched lanes are merged over the
-    /// common prefix.
-    pub fn merge(&mut self, other: AggLanes) {
-        for (r, o) in self.rows.iter_mut().zip(other.rows.iter()) {
-            *r += o;
-        }
-        if self.kind == LaneKind::Measure {
-            let n = self.valid.len().min(other.valid.len());
-            for g in 0..n {
-                if other.valid[g] > 0 {
-                    if self.valid[g] == 0 {
-                        self.min[g] = other.min[g];
-                        self.max[g] = other.max[g];
-                    } else {
-                        if other.min[g] < self.min[g] {
-                            self.min[g] = other.min[g];
-                        }
-                        if other.max[g] > self.max[g] {
-                            self.max[g] = other.max[g];
-                        }
-                    }
-                    self.valid[g] += other.valid[g];
-                    self.sum[g] += other.sum[g];
-                }
-            }
-        }
-        if self.kind == LaneKind::Distinct {
-            for (mine, theirs) in self.distinct.iter_mut().zip(other.distinct) {
-                if mine.is_empty() {
-                    *mine = theirs;
-                } else {
-                    mine.extend(theirs);
-                }
-            }
-        }
-    }
-
     /// Materialise occupied groups (row count > 0) into
     /// [`CellStats`], in ascending group-id order.
     pub fn into_cells(self) -> Vec<(u32, CellStats)> {
@@ -293,29 +253,6 @@ mod tests {
         let (_, got) = lanes.into_cells().remove(0);
         assert_eq!(got.min.to_bits(), reference.min.to_bits());
         assert_eq!(got.max.to_bits(), reference.max.to_bits());
-    }
-
-    #[test]
-    fn merge_matches_single_worker() {
-        let mut whole = AggLanes::new(LaneKind::Measure, 2);
-        let mut left = AggLanes::new(LaneKind::Measure, 2);
-        let mut right = AggLanes::new(LaneKind::Measure, 2);
-        let values = [1.0, 4.0, 2.0, 8.0];
-        let valid = [true, true, false, true];
-        let gids = [0u32, 1, 0, 1];
-        let sel = [0u32, 1, 2, 3];
-        whole.accumulate_measure(&gids, &sel, &values, &valid);
-        left.accumulate_measure(&gids[..2], &sel[..2], &values, &valid);
-        right.accumulate_measure(&gids[2..], &sel[2..], &values, &valid);
-        left.merge(right);
-        let got = left.into_cells();
-        let want = whole.into_cells();
-        assert_eq!(got.len(), want.len());
-        for ((gg, gc), (wg, wc)) in got.iter().zip(want.iter()) {
-            assert_eq!(gg, wg);
-            assert_eq!((gc.rows, gc.valid, gc.sum), (wc.rows, wc.valid, wc.sum));
-            assert_eq!((gc.min, gc.max), (wc.min, wc.max));
-        }
     }
 
     #[test]

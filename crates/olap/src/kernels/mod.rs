@@ -1,12 +1,12 @@
 //! Vectorized execution kernels: the branch-light columnar engine
 //! behind segmented cube builds.
 //!
-//! The legacy scan walked fact rows one at a time — per row it probed
-//! a `BTreeSet` for every attribute filter, allocated a `Vec<u32>`
-//! group key and rehashed it into a cell map. These kernels replace
-//! that loop with three passes over dense column slices, each a tight
-//! loop over flat fixed-width arrays the optimiser can unroll and
-//! auto-vectorize:
+//! The scalar segment scan walks rows one at a time — per row it
+//! probes a `BTreeSet` for every attribute filter, allocates a
+//! `Vec<u32>` group key and rehashes it into a cell map. Where the
+//! group domain is small enough, these kernels replace that loop with
+//! three passes over dense column slices, each a tight loop over flat
+//! fixed-width arrays the optimiser can unroll and auto-vectorize:
 //!
 //! 1. **Filter** ([`filter`]) — every predicate folds into a
 //!    [`SelectionBitmap`] (one bit per row): dictionary filters
@@ -20,17 +20,14 @@
 //!    domain fits [`group::MAX_DENSE_GROUPS`].
 //! 3. **Aggregate** ([`lanes`]) — one flat accumulator lane per
 //!    statistic (row count, valid count, sum, min, max, distinct
-//!    set), indexed by group id. Lanes merge element-wise across
-//!    workers and finalize into the exact same
-//!    [`crate::CellStats`] accumulators the row-at-a-time path
-//!    produced, so every downstream operator (roll-up, slice,
+//!    set), indexed by group id. Lanes finalize into the exact same
+//!    [`crate::CellStats`] accumulators the row-at-a-time paths
+//!    produce, so every downstream operator (roll-up, slice,
 //!    incremental delta patching) is untouched.
 //!
-//! Work distribution is **morsel-driven** ([`morsel`]): segments are
-//! cut into ~64k-row morsels pushed onto a shared [`MorselQueue`];
-//! workers pull the next morsel as they finish the last, so a
-//! straggler holding one expensive segment no longer serializes the
-//! build the way static per-worker partitions did.
+//! The passes run one **morsel** at a time ([`morsel`]): segments are
+//! cut into ~64k-row ranges by [`morsels`], so the scratch vectors
+//! between the passes stay cache-resident however large a segment is.
 //!
 //! The kernels are deliberately freestanding — they know nothing about
 //! warehouses or specs, only about slices, dictionaries and group
@@ -46,4 +43,4 @@ pub mod morsel;
 pub use filter::{KeyLut, SelectionBitmap};
 pub use group::{GroupLayout, MAX_DENSE_GROUPS};
 pub use lanes::{AggLanes, LaneKind};
-pub use morsel::{Morsel, MorselQueue, DEFAULT_MORSEL_ROWS};
+pub use morsel::{morsels, Morsel, DEFAULT_MORSEL_ROWS};

@@ -1,20 +1,16 @@
-//! Morsel-driven work distribution.
+//! Morsel iteration.
 //!
 //! Surviving segments are cut into fixed-size row ranges ("morsels")
-//! planned up front into a shared queue. Workers claim the next
-//! morsel with a single atomic `fetch_add` — no locks, no rebalancing
-//! protocol — so a worker stuck on an expensive morsel simply stops
-//! claiming new ones while its peers drain the rest. This replaces
-//! the static per-worker segment partition, whose tail latency was
-//! set by the unluckiest worker's share.
+//! and run through the kernels one after another on the calling
+//! thread. A morsel never crosses a segment boundary, so each one is
+//! a slice of a single decoded segment, and its size bounds the
+//! working set of the selection and group-id scratch vectors.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default morsel size in rows. Large enough that per-morsel overhead
-/// (atomic claim, span, lane merge) amortises to noise; small enough
-/// that a 24-segment scan still yields useful parallelism and the
-/// working set of one morsel's columns stays cache-resident.
+/// Morsel size in rows: small enough that one morsel's columns and
+/// scratch vectors stay cache-resident, large enough that per-morsel
+/// overhead (slice, span) amortises to noise.
 pub const DEFAULT_MORSEL_ROWS: usize = 64 * 1024;
 
 /// A unit of scan work: a row range within one segment.
@@ -29,69 +25,30 @@ pub struct Morsel {
     pub rows: Range<usize>,
 }
 
-/// Lock-free single-use work queue of planned morsels.
+/// Cut each segment's row count into morsels of at most `morsel_rows`
+/// rows (clamped to ≥ 1), in segment order. Empty segments contribute
+/// no morsels.
 ///
 /// ```
-/// use olap::kernels::MorselQueue;
+/// use olap::kernels::morsels;
 ///
 /// // Two segments of 100k and 30k rows, 64k-row morsels.
-/// let queue = MorselQueue::plan(&[100_000, 30_000], 64 * 1024);
-/// assert_eq!(queue.len(), 3);
-/// let first = queue.pop().unwrap();
-/// assert_eq!((first.segment, first.rows), (0, 0..65_536));
-/// let second = queue.pop().unwrap();
-/// assert_eq!((second.segment, second.rows), (0, 65_536..100_000));
-/// let third = queue.pop().unwrap();
-/// assert_eq!((third.segment, third.rows), (1, 0..30_000));
-/// assert!(queue.pop().is_none());
+/// let cut: Vec<_> = morsels(&[100_000, 30_000], 64 * 1024)
+///     .map(|m| (m.segment, m.rows))
+///     .collect();
+/// assert_eq!(cut, [(0, 0..65_536), (0, 65_536..100_000), (1, 0..30_000)]);
 /// ```
-#[derive(Debug)]
-pub struct MorselQueue {
-    morsels: Vec<Morsel>,
-    next: AtomicUsize,
-}
-
-impl MorselQueue {
-    /// Cut each segment's row count into morsels of at most
-    /// `morsel_rows` rows (clamped to ≥ 1), in segment order. Empty
-    /// segments contribute no morsels.
-    pub fn plan(segment_rows: &[usize], morsel_rows: usize) -> Self {
-        let step = morsel_rows.max(1);
-        let mut morsels = Vec::new();
-        for (segment, &rows) in segment_rows.iter().enumerate() {
-            let mut start = 0;
-            while start < rows {
-                let end = (start + step).min(rows);
-                morsels.push(Morsel {
-                    segment,
-                    rows: start..end,
-                });
-                start = end;
-            }
-        }
-        MorselQueue {
-            morsels,
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    /// Total number of planned morsels (claimed or not).
-    pub fn len(&self) -> usize {
-        self.morsels.len()
-    }
-
-    /// True when nothing was planned at all.
-    pub fn is_empty(&self) -> bool {
-        self.morsels.is_empty()
-    }
-
-    /// Claim the next unclaimed morsel; `None` once the queue is
-    /// drained. Safe to call from many threads — each morsel is
-    /// handed out exactly once.
-    pub fn pop(&self) -> Option<Morsel> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        self.morsels.get(i).cloned()
-    }
+pub fn morsels(segment_rows: &[usize], morsel_rows: usize) -> impl Iterator<Item = Morsel> + '_ {
+    let step = morsel_rows.max(1);
+    segment_rows
+        .iter()
+        .enumerate()
+        .flat_map(move |(segment, &rows)| {
+            (0..rows).step_by(step).map(move |start| Morsel {
+                segment,
+                rows: start..start.saturating_add(step).min(rows),
+            })
+        })
 }
 
 #[cfg(test)]
@@ -99,13 +56,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_covers_every_row_exactly_once() {
-        let queue = MorselQueue::plan(&[10, 0, 25, 7], 8);
+    fn morsels_cover_every_row_exactly_once() {
         let mut seen = [vec![false; 10], vec![], vec![false; 25], vec![false; 7]];
-        while let Some(m) = queue.pop() {
+        for m in morsels(&[10, 0, 25, 7], 8) {
             assert!(m.rows.end - m.rows.start <= 8);
             for r in m.rows {
-                assert!(!seen[m.segment][r], "row claimed twice");
+                assert!(!seen[m.segment][r], "row visited twice");
                 seen[m.segment][r] = true;
             }
         }
@@ -114,36 +70,21 @@ mod tests {
 
     #[test]
     fn zero_morsel_rows_is_clamped() {
-        let queue = MorselQueue::plan(&[3], 0);
-        assert_eq!(queue.len(), 3);
+        assert_eq!(morsels(&[3], 0).count(), 3);
     }
 
     #[test]
-    fn concurrent_pops_partition_the_queue() {
-        let queue = MorselQueue::plan(&[1000], 10);
-        let total = queue.len();
-        let counts: Vec<usize> = crossbeam::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|_| {
-                        let mut n = 0;
-                        while queue.pop().is_some() {
-                            n += 1;
-                        }
-                        n
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap_or(0)).collect()
-        })
-        .unwrap_or_default();
-        assert_eq!(counts.iter().sum::<usize>(), total);
+    fn morsel_size_controls_granularity() {
+        // 3 segments × 8 rows.
+        let fine: Vec<_> = morsels(&[8, 8, 8], 4).map(|m| m.segment).collect();
+        assert_eq!(fine, [0, 0, 1, 1, 2, 2], "8-row segments split into two");
+        let coarse: Vec<_> = morsels(&[8, 8, 8], 1 << 20).collect();
+        assert_eq!(coarse.len(), 3, "one morsel per segment");
+        assert!(coarse.iter().all(|m| m.rows == (0..8)));
     }
 
     #[test]
-    fn empty_plan_is_empty() {
-        let queue = MorselQueue::plan(&[], DEFAULT_MORSEL_ROWS);
-        assert!(queue.is_empty());
-        assert!(queue.pop().is_none());
+    fn nothing_to_scan_yields_no_morsels() {
+        assert_eq!(morsels(&[], DEFAULT_MORSEL_ROWS).count(), 0);
     }
 }

@@ -8,8 +8,8 @@
 //!   accumulators (count, distinct-count, sum, avg, min, max).
 //! * [`cube`] — data cubes over the warehouse: grouped aggregation
 //!   along any set of dimension attributes, with slice, dice and
-//!   roll-up operators; hash- and sort-based build strategies and a
-//!   parallel build for large fact tables.
+//!   roll-up operators; one build entry point that scans sealed
+//!   segments where it can and fact rows where it must.
 //! * [`pivot`] — two-axis pivot views of a cube (the tabular outcome
 //!   Fig. 4 shows in the BI Studio query area).
 //! * [`builder`] — [`builder::QueryBuilder`]: the programmatic
@@ -25,9 +25,9 @@
 //!   and resolves each query shape's dimension footprint for
 //!   cross-epoch result reuse.
 //! * [`kernels`] — vectorized execution kernels: selection-bitmap
-//!   filters, dictionary-coded group-id composition, fixed-width
-//!   aggregate lanes and the morsel-driven work queue behind
-//!   segmented cube builds.
+//!   filters, dictionary-coded group-id composition and fixed-width
+//!   aggregate lanes, run morsel by morsel behind segmented cube
+//!   builds.
 //!
 //! Cubes are *incrementally maintainable*: [`Cube::apply_delta`] folds
 //! a warehouse [`warehouse::DeltaSummary`]'s appended fact rows into
@@ -46,7 +46,7 @@ pub mod semantic;
 
 pub use aggregate::{Aggregate, CellStats, MeasureRef};
 pub use builder::QueryBuilder;
-pub use cube::{BuildStrategy, Cube, CubeFilter, CubeSpec, ScanOptions, ScanStats};
+pub use cube::{Cube, CubeFilter, CubeSpec, ScanStats};
 pub use mdx::{execute_mdx, parse_mdx};
 pub use pivot::PivotTable;
 pub use report::{ReportMeasure, ReportSpec};

@@ -145,7 +145,6 @@ pub fn execute_query_profiled(
         measure,
         agg,
         filter,
-        strategy: Default::default(),
     };
     let (cube, stats) = profile.time(obs::Phase::Execute, || -> Result<(Cube, ScanStats)> {
         let (mut cube, stats) = Cube::build_with_stats(warehouse, &spec)?;

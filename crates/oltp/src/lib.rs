@@ -19,7 +19,8 @@
 //! * [`wal`] — write-ahead-log durability with crash recovery.
 //! * [`query`] — predicate selection (index-accelerated), projection
 //!   and flat hash group-by with the standard aggregates. This is the
-//!   baseline measured against OLAP cubes in `bench/olap_vs_oltp`.
+//!   baseline OLAP cubes are checked against in
+//!   `tests/olap_oltp_consistency.rs`.
 
 pub mod encoding;
 pub mod index;

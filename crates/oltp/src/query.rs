@@ -4,7 +4,7 @@
 //! run directly against transactional rows, with at most single-column
 //! index acceleration. Multivariate aggregation here costs a full
 //! hash group-by per query — exactly the cost the paper's warehouse
-//! layer amortises, and what `bench/olap_vs_oltp` measures.
+//! layer amortises.
 
 use crate::index::{BTreeIndex, HashIndex};
 use crate::store::{RowId, RowStore};

@@ -6,8 +6,7 @@
 //! implementations ship:
 //!
 //! * [`MemoryBackend`] — segments live as shared [`Arc`]s in a map;
-//!   fetch is a pointer clone. The default, and the baseline the scan
-//!   bench compares the disk backend against.
+//!   fetch is a pointer clone. The default.
 //! * [`DiskBackend`] — one CRC-framed file per segment (see
 //!   [`crate::encode`]), written temp-file-then-rename so a crash
 //!   mid-seal never leaves a torn segment visible; at worst an

@@ -7,9 +7,9 @@
 //! execution no matter how many clinicians refresh it.
 //!
 //! The per-flight result slot uses `std::sync` directly because
-//! waiters need a `Condvar`, which the `parking_lot` shim does not
-//! provide; its place in the lock hierarchy is declared with a
-//! `lock:rank` annotation instead of a ranked wrapper.
+//! waiters need a `Condvar`, which the ranked wrappers do not pair
+//! with; its place in the lock hierarchy is declared with a
+//! `lock:rank` annotation instead.
 
 use crate::cache::CacheKey;
 use crate::error::{ServeError, ServeResult};

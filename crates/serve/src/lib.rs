@@ -96,19 +96,18 @@ pub mod flight;
 pub mod metrics;
 pub mod quota;
 pub mod request;
-pub mod retry;
 pub mod router;
 pub mod service;
 
 pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, CachedEntry, ResultCache};
 pub use error::{ServeError, ServeResult};
+pub use fault::RetryPolicy;
 pub use flight::{Flight, FlightRole, FlightTable};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use quota::{AdmissionQuotas, QuotaConfig};
 pub use request::{
     CubeResult, OutcomePayload, QueryOutcome, QueryRequest, ReportMeasure, ReportSpec,
 };
-pub use retry::RetryPolicy;
 pub use router::{ReplicaRouter, ReplicaStatus, RouterConfig, RouterSnapshot};
 pub use service::{default_slos, QueryService, ServeConfig, Served, ServedSource};

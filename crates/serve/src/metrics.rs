@@ -323,17 +323,6 @@ impl MetricsSnapshot {
         self.hits + self.misses + self.coalesced
     }
 
-    /// Fraction of answered requests that never executed a query
-    /// themselves (cache hits + coalesced waits).
-    pub fn amortised_rate(&self) -> f64 {
-        let served = self.served();
-        if served == 0 {
-            0.0
-        } else {
-            (self.hits + self.coalesced) as f64 / served as f64
-        }
-    }
-
     /// Mean recorded latency, if any latencies were recorded.
     pub fn mean_latency(&self) -> Option<Duration> {
         let n: u64 = self.latency_buckets.iter().sum();
@@ -362,64 +351,6 @@ impl MetricsSnapshot {
     /// Estimated 99th-percentile latency.
     pub fn p99(&self) -> Option<Duration> {
         self.latency_percentile(0.99)
-    }
-
-    /// Counter-wise difference against an earlier snapshot of the
-    /// same service: what happened *between* the two snapshots.
-    ///
-    /// This is how the serve bench isolates one measurement block —
-    /// snapshot before, run the block, subtract — so percentiles and
-    /// rates come from that block's histogram alone instead of
-    /// carrying every warm-up and prior thread level along.
-    /// `workers_alive` is a gauge, not a counter, and is taken from
-    /// `self` unchanged.
-    pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            hits: self.hits.saturating_sub(baseline.hits),
-            reused_cross_epoch: self
-                .reused_cross_epoch
-                .saturating_sub(baseline.reused_cross_epoch),
-            patched_incremental: self
-                .patched_incremental
-                .saturating_sub(baseline.patched_incremental),
-            delta_log_aged_out: self
-                .delta_log_aged_out
-                .saturating_sub(baseline.delta_log_aged_out),
-            misses: self.misses.saturating_sub(baseline.misses),
-            coalesced: self.coalesced.saturating_sub(baseline.coalesced),
-            rejected: self.rejected.saturating_sub(baseline.rejected),
-            rejected_invalid: self
-                .rejected_invalid
-                .saturating_sub(baseline.rejected_invalid),
-            quota_rejected: self.quota_rejected.saturating_sub(baseline.quota_rejected),
-            executed: self.executed.saturating_sub(baseline.executed),
-            deadline_exceeded: self
-                .deadline_exceeded
-                .saturating_sub(baseline.deadline_exceeded),
-            failed: self.failed.saturating_sub(baseline.failed),
-            worker_panics: self.worker_panics.saturating_sub(baseline.worker_panics),
-            worker_respawned: self
-                .worker_respawned
-                .saturating_sub(baseline.worker_respawned),
-            worker_respawn_failed: self
-                .worker_respawn_failed
-                .saturating_sub(baseline.worker_respawn_failed),
-            served_stale: self.served_stale.saturating_sub(baseline.served_stale),
-            breaker_open: self.breaker_open.saturating_sub(baseline.breaker_open),
-            retries: self.retries.saturating_sub(baseline.retries),
-            rows_scanned: self.rows_scanned.saturating_sub(baseline.rows_scanned),
-            segments_pruned: self
-                .segments_pruned
-                .saturating_sub(baseline.segments_pruned),
-            morsels_executed: self
-                .morsels_executed
-                .saturating_sub(baseline.morsels_executed),
-            workers_alive: self.workers_alive,
-            latency_us_sum: self.latency_us_sum.saturating_sub(baseline.latency_us_sum),
-            latency_buckets: std::array::from_fn(|i| {
-                self.latency_buckets[i].saturating_sub(baseline.latency_buckets[i])
-            }),
-        }
     }
 }
 
@@ -493,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn amortised_rate_counts_hits_and_coalesced() {
+    fn served_counts_hits_misses_and_coalesced() {
         let m = ServeMetrics::default();
         m.record_miss();
         m.record_hit();
@@ -501,7 +432,6 @@ mod tests {
         m.record_coalesced();
         let s = m.snapshot();
         assert_eq!(s.served(), 4);
-        assert!((s.amortised_rate() - 0.75).abs() < 1e-12);
         assert!(s.to_string().contains("hits 2"));
     }
 
@@ -533,33 +463,6 @@ mod tests {
         assert!(text.contains("serve_delta_log_aged_out_total 1"));
         let s = m.snapshot();
         assert_eq!((s.rows_scanned, s.segments_pruned), (2500, 3));
-    }
-
-    #[test]
-    fn since_isolates_one_measurement_block() {
-        let m = ServeMetrics::default();
-        // Warm-up traffic that must not leak into the block.
-        m.record_miss();
-        m.record_executed();
-        m.record_latency(Duration::from_millis(500));
-        let baseline = m.snapshot();
-
-        m.record_hit();
-        m.record_hit();
-        m.record_morsels_executed(6);
-        m.record_latency(Duration::from_micros(50));
-        m.record_latency(Duration::from_micros(60));
-        let block = m.snapshot().since(&baseline);
-
-        assert_eq!(block.hits, 2);
-        assert_eq!(block.misses, 0, "warm-up miss excluded");
-        assert_eq!(block.morsels_executed, 6);
-        assert_eq!(block.latency_buckets, [2, 0, 0, 0, 0, 0]);
-        let p95 = block.p95().unwrap();
-        assert!(
-            p95 < Duration::from_millis(1),
-            "warm-up 500ms excluded: {p95:?}"
-        );
     }
 
     #[test]

@@ -34,10 +34,10 @@ use crate::flight::{Flight, FlightRole, FlightTable};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::quota::{AdmissionQuotas, QuotaConfig};
 use crate::request::{CubeResult, OutcomePayload, QueryOutcome, QueryRequest, ReportSpec};
-use crate::retry::RetryPolicy;
 use analyze::Catalog;
 use clinical_types::{Table, Value};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use fault::RetryPolicy;
 use obs::{
     LockRank, Phase, ProfileBuilder, RankedMutex, RankedRwLock, SloEngine, SloSpec, SloStatus,
     SpanContext, Watchdog, WatchdogConfig,
@@ -66,8 +66,8 @@ pub struct ServeConfig {
     /// Deadline applied by [`QueryService::execute`].
     pub default_deadline: Duration,
     /// Artificial per-execution delay, applied by workers before
-    /// running the query. A deterministic aid for tests and benches
-    /// that need executions to overlap; `None` in production.
+    /// running the query. A deterministic aid for tests that need
+    /// executions to overlap; `None` in production.
     pub execution_delay: Option<Duration>,
     /// Consecutive execution failures that trip the circuit breaker
     /// into degraded mode.

@@ -99,7 +99,7 @@ pub struct CompactionConfig {
     pub target_rows_per_segment: usize,
     /// Sort rows by their dimension-key tuple before cutting, so each
     /// segment covers a narrow key range and zone maps prune sharply.
-    /// Disable to seal in arrival order (bench ablation).
+    /// Disable to seal in arrival order.
     pub sort: bool,
 }
 

@@ -4,8 +4,7 @@
 //! stored once in a [`DimensionTable`] and referenced from the fact by
 //! a dense [`SurrogateKey`]. The [`FactTable`] stores one key column
 //! per dimension plus null-aware numeric measure columns and inline
-//! degenerate columns. This layout is the ablation subject of
-//! `bench/load_and_cube` (surrogate keys vs raw group keys).
+//! degenerate columns.
 
 use clinical_types::{Error, Result, Value};
 use std::collections::HashMap;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate: formatting, lints, release build, tests.
+# Repo-wide quality gate: formatting, lints, release build, tests,
+# and the benchmark's own tests and repeat run.
 # Run from anywhere; operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,8 +17,9 @@ cargo run -q -p analyze --bin repo-lint -- --locks
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q"
+echo "==> cargo test --workspace -q (default test parallelism, then one thread)"
 cargo test --workspace -q
+cargo test --workspace -q -- --test-threads=1
 
 echo "==> cargo test --workspace -q --doc"
 cargo test --workspace -q --doc
@@ -50,31 +52,10 @@ cargo test -q --test replication_chaos
 echo "==> oplog unit suite (framing, torn-tail recovery, truncation, gap semantics)"
 cargo test -q -p oplog
 
-echo "==> scan bench (zone-map + footprint pruning >=5x, kernel vs scalar >=2x, BENCH_scan.json)"
-cargo bench -p bench --bench scan
+echo "==> ddbench's own tests (its frozen surface must still compile and its oracles agree)"
+cargo test --release -q --manifest-path ddbench/Cargo.toml
 
-echo "==> kernel-bench gate (BENCH_scan.json scaling: vectorized >=2x scalar at every thread count)"
-python3 - <<'EOF'
-import json
-scaling = json.load(open("BENCH_scan.json"))["scaling"]
-speedup = scaling["min_kernel_speedup"]
-assert speedup >= 2.0, f"kernel speedup regressed: min {speedup:.2f}x < 2x"
-print(f"    min kernel speedup {speedup:.1f}x across thread sweep — ok")
-EOF
-
-echo "==> serve bench (cold/warm, degraded mode, recorder overhead, replicated fan-out, BENCH_serve.json)"
-cargo bench -p bench --bench serve
-
-echo "==> replication gate (BENCH_serve.json: 4-replica rps >= 1.5x single replica, zero lost on failover)"
-python3 - <<'EOF'
-import json
-rep = json.load(open("BENCH_serve.json"))["replicated"]
-by = {r["replicas"]: r["rps"] for r in rep["sweep"]}
-scaling = by[4] / by[1]
-assert scaling >= 1.5, f"replica fan-out scaling regressed: {scaling:.2f}x < 1.5x"
-fo = rep["failover"]
-assert fo["requests"] > 0 and fo["p99_us"] > 0, f"failover drill produced no latencies: {fo}"
-print(f"    4-replica scaling {scaling:.2f}x; failover p99 {fo['p99_us']} us over {fo['requests']} requests — ok")
-EOF
+echo "==> ddbench repeat --runs 3 (all five workloads, run-to-run agreement)"
+cargo run --release -q --manifest-path ddbench/Cargo.toml -- repeat --runs 3
 
 echo "All checks passed."

@@ -1,78 +1,8 @@
-//! Offline stand-in for `crossbeam`.
-//!
-//! Two pieces, covering what this workspace uses:
-//!
-//! * [`scope`] — crossbeam-style scoped threads, delegating to
-//!   [`std::thread::scope`] (stable since Rust 1.63, so the shim is a
-//!   thin adapter keeping crossbeam's `Result`-returning shape and
-//!   the `|_|` spawn-closure convention).
-//! * [`channel`] — a Mutex + Condvar MPMC channel with `bounded` /
-//!   `unbounded` constructors, cloneable senders and receivers,
-//!   non-blocking `try_send`, and timeout-aware receives. This is the
-//!   backbone of the `serve` crate's worker pool; throughput is far
-//!   below real crossbeam's lock-free queues but semantics match.
+//! Offline stand-in for `crossbeam`, covering what this workspace
+//! uses: [`channel`] — a Mutex + Condvar MPMC channel with `bounded` /
+//! `unbounded` constructors, cloneable senders and receivers,
+//! non-blocking `try_send`, and timeout-aware receives. This is the
+//! backbone of the `serve` crate's worker pool; throughput is far
+//! below real crossbeam's lock-free queues but semantics match.
 
 pub mod channel;
-
-use std::thread;
-
-/// Scoped-thread handle mirroring `crossbeam::thread::Scope`.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope thread::Scope<'scope, 'env>,
-}
-
-/// Join handle for a scoped thread.
-pub struct ScopedJoinHandle<'scope, T> {
-    inner: thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a thread inside the scope. The closure receives a unit
-    /// placeholder where crossbeam passes the scope handle (every call
-    /// site in this workspace ignores it as `|_|`).
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(()) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        ScopedJoinHandle {
-            inner: self.inner.spawn(move || f(())),
-        }
-    }
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    /// Wait for the thread; `Err` carries the panic payload.
-    pub fn join(self) -> thread::Result<T> {
-        self.inner.join()
-    }
-}
-
-/// Create a scope for spawning borrowing threads; all threads are
-/// joined before `scope` returns. The `Result` mirrors crossbeam's
-/// signature — with the std backend, a panicking child that is not
-/// joined propagates its panic instead of surfacing as `Err`, which
-/// is strictly stricter and fine for the call sites here.
-pub fn scope<'env, F, R>(f: F) -> thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(thread::scope(|s| f(&Scope { inner: s })))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scope_joins_and_returns() {
-        let data = [1u64, 2, 3, 4];
-        let total = super::scope(|s| {
-            let handles: Vec<_> = data.iter().map(|&x| s.spawn(move |_| x * 10)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum::<u64>()
-        })
-        .expect("scope failed");
-        assert_eq!(total, 100);
-    }
-}

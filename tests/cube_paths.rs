@@ -1,0 +1,283 @@
+//! Which path answered — and that every path answers the same.
+//!
+//! `Cube::build_with_stats` takes no options: the warehouse's sealed
+//! state and the spec's group domain select one of three paths, and
+//! [`ScanStats`] says which one ran. This suite runs the eight query
+//! shapes of the benchmark's scan deck over a small DiScRi warehouse
+//! in four states, checks every answer cell for cell against the
+//! naive oracle, and pins the selector of each path:
+//!
+//! * **row loop** over the whole fact table — nothing is sealed, or
+//!   the spec reads a dimension the sealed segments do not carry;
+//! * **kernels** over the zone-map survivors — the dense group domain
+//!   fits `MAX_DENSE_GROUPS`;
+//! * **scalar segment hash** — sealed, but the domain does not fit
+//!   (two mid-sized dimensions: the paper's Fig. 6 band × band shape).
+//!
+//! Behind sealed segments the mutable tail always goes through the row
+//! loop, which `rows_scanned` shows.
+
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use clinical_types::{DataType, FieldDef, Record, Table, Value};
+use olap::{Aggregate, Cube, CubeFilter, CubeSpec, PivotTable, ScanStats};
+use oracle::{Agg, Cells, Query};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
+use warehouse::{CompactionConfig, LoadPlan, Warehouse};
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Path {
+    RowLoop,
+    Kernels,
+    SegmentHash,
+}
+
+/// The path, read off the statistics alone.
+fn path_of(stats: &ScanStats) -> Path {
+    if stats.segments_total == 0 {
+        Path::RowLoop
+    } else if stats.morsels_executed > 0 {
+        Path::Kernels
+    } else {
+        Path::SegmentHash
+    }
+}
+
+/// ~1 300 transformed attendances: enough distinct patients that the
+/// personal × medical-condition key domain (563 × 132) overflows the
+/// dense cap while every single dimension stays far inside it.
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let cohort = discri::generate(&discri::CohortConfig::scaled_to_visits(7, 1500));
+        etl::TransformPipeline::discri_default()
+            .run(&cohort.attendances)
+            .unwrap()
+            .0
+    })
+}
+
+fn rows_of(table: &Table, rows: std::ops::Range<usize>) -> Table {
+    Table::from_rows(table.schema().clone(), table.rows()[rows].to_vec()).unwrap()
+}
+
+fn load(table: &Table) -> Warehouse {
+    Warehouse::load(&LoadPlan::discri_default(), table).unwrap()
+}
+
+fn seal(wh: &mut Warehouse) {
+    wh.compact_with(&CompactionConfig {
+        target_rows_per_segment: 128,
+        sort: true,
+    })
+    .unwrap();
+}
+
+struct Shape {
+    name: &'static str,
+    query: Query<'static>,
+    /// Sent as MDX text; the others go in as a `CubeSpec`.
+    mdx: Option<&'static str>,
+}
+
+fn shape(name: &'static str, axes: [&'static str; 2], agg: Agg<'static>) -> Shape {
+    Shape {
+        name,
+        query: Query {
+            axes: axes.to_vec(),
+            equals: vec![],
+            between: vec![],
+            agg,
+        },
+        mdx: None,
+    }
+}
+
+impl Shape {
+    fn equals(mut self, attribute: &'static str, value: &str) -> Shape {
+        self.query.equals.push((attribute, value.into()));
+        self
+    }
+}
+
+/// The scan deck of `ddbench`, shape for shape.
+fn deck() -> Vec<Shape> {
+    let mut cube_range = shape("cube_range", ["Gender", "Age_Band"], Agg::Avg("FBG"));
+    cube_range.query.between.push(("BMI", 25.0, 30.0));
+    let mut drill =
+        shape("drill_children", ["Age_SubGroup", "Gender"], Agg::Count).equals("Age_Band", "60-80");
+    drill.mdx = Some(
+        "SELECT [Gender].MEMBERS ON COLUMNS, [Age_Band].[60-80].CHILDREN ON ROWS \
+         FROM [Medical Measures] MEASURE COUNT(*)",
+    );
+    vec![
+        shape(
+            "fig5_distinct",
+            ["Age_SubGroup", "Gender"],
+            Agg::Distinct("PatientId"),
+        )
+        .equals("DiabetesStatus", "yes"),
+        shape(
+            "fig6_htyears",
+            ["DiagnosticHTYears_Band", "Age_Band"],
+            Agg::Count,
+        ),
+        shape("sum_by_band", ["Age_Band", "Gender"], Agg::Sum("FBG")),
+        shape("avg_filtered", ["FBG_Band", "Gender"], Agg::Avg("HbA1c")).equals("Gender", "F"),
+        shape("count_wide", ["Age_SubGroup", "FBG_Band"], Agg::Count),
+        shape("selective", ["Age_Band", "Gender"], Agg::Count).equals("Age_SubGroup", "<40"),
+        drill,
+        cube_range,
+    ]
+}
+
+fn spec_of(query: &Query<'_>) -> CubeSpec {
+    let axes = query.axes.clone();
+    let spec = match query.agg {
+        Agg::Count => CubeSpec::count(axes),
+        Agg::Distinct(column) => CubeSpec::distinct(axes, column),
+        Agg::Sum(m) => CubeSpec::measure(axes, Aggregate::Sum, m),
+        Agg::Avg(m) => CubeSpec::measure(axes, Aggregate::Avg, m),
+        Agg::Min(m) => CubeSpec::measure(axes, Aggregate::Min, m),
+        Agg::Max(m) => CubeSpec::measure(axes, Aggregate::Max, m),
+    };
+    let mut filter = CubeFilter::all();
+    for (attribute, value) in &query.equals {
+        filter = filter.equals(*attribute, value.clone());
+    }
+    for (measure, lo, hi) in &query.between {
+        filter = filter.measure_between(*measure, *lo, *hi);
+    }
+    spec.with_filter(filter)
+}
+
+fn cube_cells(cube: &Cube) -> Cells {
+    cube.iter().map(|(k, v)| (k.clone(), v)).collect()
+}
+
+fn pivot_cells(pivot: &PivotTable) -> Cells {
+    let mut cells = Cells::new();
+    for (r, row) in pivot.cells.iter().enumerate() {
+        for (c, cell) in row.iter().enumerate() {
+            if let Some(v) = cell {
+                let key = vec![pivot.row_headers[r].clone(), pivot.col_headers[c].clone()];
+                cells.insert(key, *v);
+            }
+        }
+    }
+    cells
+}
+
+/// Run one shape, check its answer against the oracle over `table`
+/// (the rows `wh` holds), and hand back the statistics of the build.
+fn run(wh: &Warehouse, table: &Table, shape: &Shape, state: &str) -> ScanStats {
+    let what = format!("{} on the {state} warehouse", shape.name);
+    let want = oracle::answer(table, &shape.query);
+    assert!(!want.is_empty(), "{what} selects nothing");
+    let (cube, stats) = Cube::build_with_stats(wh, &spec_of(&shape.query)).unwrap();
+    oracle::assert_same_cells(&cube_cells(&cube), &want, &what);
+    if let Some(text) = shape.mdx {
+        // The MDX route resolves the drill to this same spec.
+        let pivot = olap::execute_mdx(wh, text).unwrap();
+        oracle::assert_same_cells(&pivot_cells(&pivot), &want, &what);
+    }
+    stats
+}
+
+fn run_deck(wh: &Warehouse, table: &Table, state: &str) -> HashMap<&'static str, ScanStats> {
+    deck()
+        .iter()
+        .map(|shape| (shape.name, run(wh, table, shape, state)))
+        .collect()
+}
+
+#[test]
+fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
+    let table = table();
+    let n = table.len() as u64;
+    let mut seen = BTreeSet::new();
+
+    // Nothing sealed: the row loop answers everything.
+    let unsealed = run_deck(&load(table), table, "unsealed");
+    for (name, stats) in &unsealed {
+        assert_eq!(path_of(stats), Path::RowLoop, "{name}: {stats:?}");
+        assert_eq!(stats.rows_scanned, n, "{name} reads the whole table");
+        assert_eq!(stats.segments_pruned, 0);
+    }
+    seen.extend(unsealed.values().map(path_of));
+
+    // Everything sealed: the group domain picks between the kernels
+    // and the scalar segment hash, and zone maps prune.
+    let mut wh = load(table);
+    seal(&mut wh);
+    let segments = wh.segments().len() as u64;
+    let sealed = run_deck(&wh, table, "sealed");
+    for (name, stats) in &sealed {
+        let expected = if *name == "fig6_htyears" {
+            Path::SegmentHash
+        } else {
+            Path::Kernels
+        };
+        assert_eq!(path_of(stats), expected, "{name}: {stats:?}");
+        assert_eq!(stats.segments_total, segments);
+        if *name == "selective" {
+            assert!(stats.segments_pruned > 0, "zone maps prune: {stats:?}");
+            assert!(stats.rows_scanned < n);
+        } else {
+            assert_eq!(stats.rows_scanned, n, "{name}: {stats:?}");
+        }
+    }
+    seen.extend(sealed.values().map(path_of));
+
+    // A feedback dimension added after sealing: specs that do not read
+    // it scan exactly as before; a spec that does is beyond the sealed
+    // schema and goes to the row loop.
+    let labels: Vec<Value> = (0..table.len())
+        .map(|i| ["reviewed", "unreviewed", "flagged"][i % 3].into())
+        .collect();
+    wh.add_feedback_dimension("Review", "Flag", labels.clone())
+        .unwrap();
+    assert_eq!(run_deck(&wh, table, "sealed + feedback"), sealed);
+    let mut schema = table.schema().clone();
+    schema
+        .push(FieldDef::nullable("Flag", DataType::Text))
+        .unwrap();
+    let flagged_rows = table.rows().iter().zip(labels).map(|(row, label)| {
+        let mut values = row.values().to_vec();
+        values.push(label);
+        Record::new(values)
+    });
+    let flagged = Table::from_rows(schema, flagged_rows.collect()).unwrap();
+    let by_flag = shape("by_flag", ["Flag", "Gender"], Agg::Avg("FBG"));
+    let stats = run(&wh, &flagged, &by_flag, "sealed + feedback");
+    assert_eq!(path_of(&stats), Path::RowLoop, "{stats:?}");
+    assert_eq!(stats.rows_scanned, n);
+
+    // A sealed prefix and an appended tail: the same selectors pick
+    // the path over the segments, and the tail's rows are on top.
+    let cut = table.len() - 200;
+    let mut wh = load(&rows_of(table, 0..cut));
+    seal(&mut wh);
+    wh.append(&rows_of(table, cut..table.len())).unwrap();
+    assert_eq!(wh.segments().watermark(), cut);
+    let tailed = run_deck(&wh, table, "sealed + tail");
+    for (name, stats) in &tailed {
+        assert_ne!(path_of(stats), Path::RowLoop, "{name}: {stats:?}");
+        assert_eq!(stats.segments_total, wh.segments().len() as u64);
+        if *name == "selective" {
+            assert!(stats.segments_pruned > 0, "the tail does not stop pruning");
+            assert!((200..n).contains(&stats.rows_scanned), "{stats:?}");
+        } else {
+            assert_eq!(stats.rows_scanned, n, "{name} reads segments + tail");
+        }
+    }
+    seen.extend(tailed.values().map(path_of));
+
+    assert_eq!(
+        seen,
+        BTreeSet::from([Path::RowLoop, Path::Kernels, Path::SegmentHash]),
+        "the matrix must reach all three paths"
+    );
+}

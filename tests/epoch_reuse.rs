@@ -12,7 +12,7 @@
 //!    to re-execution — correctness is never traded for reuse.
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table, Value};
-use obs::test_support::tracing_lock;
+use obs::test_support::{rooted_trace, tracing_lock};
 use obs::RingCollector;
 use olap::{Aggregate, CubeSpec};
 use serve::{QueryRequest, QueryService, ReportSpec, ServeConfig, ServedSource};
@@ -57,6 +57,7 @@ fn out_of_footprint_mutation_serves_identical_bytes_at_the_new_epoch() {
     let _guard = tracing_lock();
     let collector = Arc::new(RingCollector::new(1024));
     obs::install(collector.clone());
+    let (root, trace) = rooted_trace().unwrap();
 
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
     let request = QueryRequest::Report(ReportSpec::new().on_rows("FBG_Band").count());
@@ -68,6 +69,7 @@ fn out_of_footprint_mutation_serves_identical_bytes_at_the_new_epoch() {
     svc.add_feedback_dimension("Review", "Flag", feedback_labels(&svc))
         .unwrap();
     let after = svc.execute(&request).unwrap();
+    drop(root);
     obs::uninstall();
 
     assert_eq!(after.source, ServedSource::Cache);
@@ -83,7 +85,7 @@ fn out_of_footprint_mutation_serves_identical_bytes_at_the_new_epoch() {
     // The decision is observable: a cache.revalidate span recorded the
     // epoch gap and its outcome.
     let revalidations: Vec<_> = collector
-        .spans()
+        .spans_in(trace)
         .into_iter()
         .filter(|s| s.name == "cache.revalidate")
         .collect();
@@ -134,6 +136,7 @@ fn aged_out_delta_log_is_counted_and_traced() {
     let _guard = tracing_lock();
     let collector = Arc::new(RingCollector::new(4096));
     obs::install(collector.clone());
+    let (root, trace) = rooted_trace().unwrap();
 
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
     let request = QueryRequest::Report(ReportSpec::new().on_rows("FBG_Band").count());
@@ -152,6 +155,7 @@ fn aged_out_delta_log_is_counted_and_traced() {
         .unwrap();
     }
     let after = svc.execute(&request).unwrap();
+    drop(root);
     obs::uninstall();
 
     assert_eq!(
@@ -167,7 +171,7 @@ fn aged_out_delta_log_is_counted_and_traced() {
     // The drop is observable: the cache.revalidate span records the
     // unknown-epoch outcome and a companion event carries the gap.
     let revalidations: Vec<_> = collector
-        .spans()
+        .spans_in(trace)
         .into_iter()
         .filter(|s| s.name == "cache.revalidate")
         .collect();
@@ -175,7 +179,7 @@ fn aged_out_delta_log_is_counted_and_traced() {
     assert_eq!(revalidations[0].field("outcome"), Some("unknown_epoch"));
     assert!(
         collector
-            .events()
+            .events_in(trace)
             .iter()
             .any(|e| e.name == "serve.delta_log_aged_out"),
         "aged-out drops emit a trace event"

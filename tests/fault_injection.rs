@@ -439,6 +439,10 @@ fn compactor_crashes_never_lose_sealed_segments() {
 #[test]
 fn concurrent_queries_never_see_a_torn_segment_view() {
     use olap::CubeSpec;
+    // Arms nothing itself, but failpoints are process-global: without
+    // the lock a sibling's armed `serve.execute` or one-shot
+    // `warehouse.compact_*` fault fires in here instead of there.
+    let _lock = fault::test_support::fault_lock();
     let svc = std::sync::Arc::new(service(ServeConfig::default()));
     assert!(svc.compact_now().unwrap());
     let stop = std::sync::atomic::AtomicBool::new(false);

@@ -6,8 +6,8 @@
 //! `obs::test_support::tracing_lock()`.
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table};
-use obs::test_support::tracing_lock;
-use obs::{parse_jsonl, render_trace, RingCollector, SpanRecord};
+use obs::test_support::{rooted_trace, tracing_lock};
+use obs::{parse_jsonl, render_trace, RingCollector, SpanRecord, TraceId};
 use serve::{QueryRequest, QueryService, ReportSpec, ServeConfig, ServedSource};
 use std::sync::Arc;
 use std::thread;
@@ -64,11 +64,19 @@ fn execution_span_joins_the_leaders_trace_across_threads() {
     // One worker + a deliberate execution delay: concurrent identical
     // requests deterministically coalesce onto one in-flight leader.
     let svc = slow_service(1, 60);
-    let sources: Vec<ServedSource> = thread::scope(|s| {
+    // Each caller roots its own trace, so what the collector hears
+    // from sibling tests (which trace without the lock) can be told
+    // apart from what these four requests emitted.
+    let (sources, traces): (Vec<ServedSource>, Vec<TraceId>) = thread::scope(|s| {
         let handles: Vec<_> = (0..4)
-            .map(|_| s.spawn(|| svc.execute(&fbg_by_band()).unwrap().source))
+            .map(|_| {
+                s.spawn(|| {
+                    let (_root, trace) = rooted_trace().unwrap();
+                    (svc.execute(&fbg_by_band()).unwrap().source, trace)
+                })
+            })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles.into_iter().map(|h| h.join().unwrap()).unzip()
     });
     svc.shutdown();
     obs::uninstall();
@@ -82,7 +90,13 @@ fn execution_span_joins_the_leaders_trace_across_threads() {
         "single-flight must elect exactly one leader: {sources:?}"
     );
 
-    let spans = collector.spans();
+    // What the service emitted under the four callers: their traces,
+    // minus the callers' own root spans.
+    let spans: Vec<SpanRecord> = traces
+        .iter()
+        .flat_map(|&t| collector.spans_in(t))
+        .filter(|s| s.name != "test.root")
+        .collect();
     let requests = request_spans(&spans);
     assert_eq!(requests.len(), 4, "every caller opens a request span");
 
