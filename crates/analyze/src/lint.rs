@@ -3,7 +3,8 @@
 //! Five rules keep the serving hot path honest:
 //!
 //! * `no-panic` — no `unwrap()` / `expect()` / `panic!` in designated
-//!   hot-path modules (`serve`, `etl`, `warehouse`, `segstore`,
+//!   hot-path modules (`serve`, `etl`, `warehouse`, `segstore`, `oplog`,
+//!   `clinical_types::wire`,
 //!   `oltp::{wal,txn,store}`, `olap::{cube,mdx::exec}`) outside
 //!   `#[cfg(test)]`;
 //! * `no-todo` — no `todo!` / `unimplemented!` / `dbg!` anywhere;
@@ -53,13 +54,15 @@ pub const RULE_DISPLAY_IMPL: &str = "display-impl";
 
 /// Workspace-relative path fragments whose files count as the serving
 /// hot path for `no-panic`.
-const HOT_PATHS: [&str; 11] = [
+const HOT_PATHS: [&str; 13] = [
     "crates/serve/src/",
     "crates/etl/src/",
     "crates/warehouse/src/",
     "crates/segstore/src/",
     "crates/kb/src/",
     "crates/obs/src/",
+    "crates/oplog/src/",
+    "crates/clinical-types/src/wire.rs",
     "crates/oltp/src/wal.rs",
     "crates/oltp/src/txn.rs",
     "crates/oltp/src/store.rs",

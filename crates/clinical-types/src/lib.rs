@@ -12,6 +12,9 @@
 //! a few hundred typed attributes per row. A dynamic `Value` enum with
 //! a checked [`Schema`] captures that without pulling a full SQL type
 //! system into every crate.
+//!
+//! [`wire`] is the one byte-level codec behind everything the workspace
+//! persists: the OLTP WAL, warehouse segments and the replication oplog.
 
 pub mod csv;
 pub mod date;
@@ -20,6 +23,7 @@ pub mod record;
 pub mod schema;
 pub mod span;
 pub mod value;
+pub mod wire;
 
 pub use csv::{table_from_csv, table_to_csv};
 pub use date::Date;

@@ -1455,7 +1455,6 @@ mod tests {
     fn compact_small(wh: &mut Warehouse) {
         wh.compact_with(&warehouse::CompactionConfig {
             target_rows_per_segment: 8,
-            sort: true,
         })
         .unwrap();
     }
@@ -1586,7 +1585,6 @@ mod tests {
         .unwrap();
         wh.compact_with(&warehouse::CompactionConfig {
             target_rows_per_segment: 100,
-            sort: true,
         })
         .unwrap();
 
@@ -1638,7 +1636,6 @@ mod tests {
         .unwrap();
         wh.compact_with(&warehouse::CompactionConfig {
             target_rows_per_segment: 100,
-            sort: true,
         })
         .unwrap();
 

@@ -1,149 +1,17 @@
 //! Binary row encoding.
 //!
-//! Rows are stored as compact byte strings: one tag byte per value
-//! followed by a fixed- or length-prefixed payload. The codec is
-//! self-describing (the tag carries the type), so decoding does not
-//! need the schema — which keeps tombstoned/legacy rows readable after
-//! schema evolution.
+//! Rows are stored as compact, self-describing byte strings (the tag
+//! carries the type), so decoding does not need the schema — which
+//! keeps tombstoned/legacy rows readable after schema evolution. The
+//! codec itself is [`clinical_types::wire`]; this module re-exports it
+//! under the names the row store has always used.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use clinical_types::{Date, Error, Record, Result, Value};
-
-const TAG_NULL: u8 = 0;
-const TAG_INT: u8 = 1;
-const TAG_FLOAT: u8 = 2;
-const TAG_TEXT: u8 = 3;
-const TAG_BOOL_FALSE: u8 = 4;
-const TAG_BOOL_TRUE: u8 = 5;
-const TAG_DATE: u8 = 6;
-
-/// Encode a record into its binary representation.
-pub fn encode_row(record: &Record) -> Bytes {
-    let mut buf = BytesMut::with_capacity(record.len() * 9);
-    buf.put_u16_le(record.len() as u16);
-    for v in record.values() {
-        match v {
-            Value::Null => buf.put_u8(TAG_NULL),
-            Value::Int(i) => {
-                buf.put_u8(TAG_INT);
-                buf.put_i64_le(*i);
-            }
-            Value::Float(f) => {
-                buf.put_u8(TAG_FLOAT);
-                buf.put_f64_le(*f);
-            }
-            Value::Text(s) => {
-                buf.put_u8(TAG_TEXT);
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
-            Value::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
-            Value::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
-            Value::Date(d) => {
-                buf.put_u8(TAG_DATE);
-                buf.put_i64_le(d.days_since_epoch());
-            }
-        }
-    }
-    buf.freeze()
-}
-
-/// Decode a binary row back into a record.
-pub fn decode_row(bytes: &Bytes) -> Result<Record> {
-    let mut buf = bytes.clone();
-    if buf.remaining() < 2 {
-        return Err(Error::invalid("row too short for header"));
-    }
-    let n = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        if buf.remaining() < 1 {
-            return Err(Error::invalid(format!("row truncated at value {i}")));
-        }
-        let tag = buf.get_u8();
-        let value = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => {
-                ensure(&buf, 8, i)?;
-                Value::Int(buf.get_i64_le())
-            }
-            TAG_FLOAT => {
-                ensure(&buf, 8, i)?;
-                Value::Float(buf.get_f64_le())
-            }
-            TAG_TEXT => {
-                ensure(&buf, 4, i)?;
-                let len = buf.get_u32_le() as usize;
-                ensure(&buf, len, i)?;
-                let raw = buf.copy_to_bytes(len);
-                let s = std::str::from_utf8(&raw)
-                    .map_err(|_| Error::invalid(format!("invalid UTF-8 in value {i}")))?;
-                Value::Text(s.to_string())
-            }
-            TAG_BOOL_FALSE => Value::Bool(false),
-            TAG_BOOL_TRUE => Value::Bool(true),
-            TAG_DATE => {
-                ensure(&buf, 8, i)?;
-                Value::Date(Date::from_days_since_epoch(buf.get_i64_le()))
-            }
-            other => return Err(Error::invalid(format!("unknown value tag {other}"))),
-        };
-        values.push(value);
-    }
-    if buf.has_remaining() {
-        return Err(Error::invalid("trailing bytes after row payload"));
-    }
-    Ok(Record::new(values))
-}
-
-fn ensure(buf: &Bytes, need: usize, value_idx: usize) -> Result<()> {
-    if buf.remaining() < need {
-        Err(Error::invalid(format!(
-            "row truncated in value {value_idx}"
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// IEEE CRC-32 (polynomial `0xEDB88320`), table-driven and std-only.
-///
-/// The WAL's original checksum was a positional byte sum
-/// (`acc*31 + b`), which a crafted two-byte corruption can defeat:
-/// adding `+1` to one byte and `-31` to the next leaves the sum
-/// unchanged. CRC-32 detects all single-byte errors, all adjacent
-/// two-byte errors and every burst up to 32 bits.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    });
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
+pub use clinical_types::wire::{crc32, decode_row, encode_row};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clinical_types::{Date, Record, Value};
     use proptest::prelude::*;
 
     #[test]
@@ -156,7 +24,7 @@ mod tests {
 
     #[test]
     fn crc32_detects_compensating_byte_pairs() {
-        // The +1/-31 pair that fools the legacy positional sum.
+        // The +1/-31 pair that fooled the WAL v1 positional sum.
         let clean = [10u8, 200, 130, 40];
         let mut tampered = clean;
         tampered[1] += 1;
@@ -193,23 +61,21 @@ mod tests {
     fn truncated_rows_are_rejected() {
         let bytes = encode_row(&sample_record());
         for cut in [0, 1, 3, bytes.len() - 1] {
-            let partial = bytes.slice(0..cut);
-            assert!(decode_row(&partial).is_err(), "cut at {cut} accepted");
+            assert!(decode_row(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut raw = encode_row(&sample_record()).to_vec();
+        let mut raw = encode_row(&sample_record());
         raw.push(0xFF);
-        assert!(decode_row(&Bytes::from(raw)).is_err());
+        assert!(decode_row(&raw).is_err());
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
         // Header says 1 value, then a bogus tag.
-        let raw = Bytes::from(vec![1u8, 0u8, 99u8]);
-        assert!(decode_row(&raw).is_err());
+        assert!(decode_row(&[1, 0, 0, 0, 99]).is_err());
     }
 
     #[test]

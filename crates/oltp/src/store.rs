@@ -1,7 +1,6 @@
 //! The heap row store.
 
 use crate::encoding::{decode_row, encode_row};
-use bytes::Bytes;
 use clinical_types::{Error, Record, Result, Schema, Value};
 use obs::{LockRank, RankedRwLock};
 use std::sync::Arc;
@@ -12,7 +11,7 @@ pub type RowId = u64;
 #[derive(Debug)]
 struct Slot {
     /// `None` marks a tombstone (deleted row).
-    payload: Option<Bytes>,
+    payload: Option<Vec<u8>>,
 }
 
 #[derive(Debug, Default)]

@@ -7,14 +7,13 @@
 //! revalidate but not enough to rebuild state elsewhere. This crate
 //! re-derives that delta stream as a **durable change feed**: every
 //! primary-side mutation is captured as a self-contained
-//! [`warehouse::WarehouseChange`], framed with the same CRC-32 the
-//! OLTP write-ahead log uses ([`oltp::encoding::crc32`]), stamped with
-//! a monotone [`LogPos`] `(epoch, seq)`, and appended to an [`Oplog`]
-//! that read replicas tail.
+//! [`warehouse::WarehouseChange`], framed with the same CRC-32 frame
+//! the OLTP write-ahead log uses ([`clinical_types::wire`]), stamped
+//! with a monotone [`LogPos`] `(epoch, seq)`, and appended to an
+//! [`Oplog`] that read replicas tail.
 //!
-//! * [`record`] — the `(epoch, seq)` position, the framed record
-//!   codec, and the binary payload encoding built on the OLTP row
-//!   codec.
+//! * [`record`] — the `(epoch, seq)` position and the record body
+//!   codec, built on the shared row codec.
 //! * [`log`] — the [`Oplog`] itself: in-memory or file-backed,
 //!   torn-tail recovery on open, age-out via
 //!   [`Oplog::truncate_before`], and the [`Oplog::tail_from`] cursor

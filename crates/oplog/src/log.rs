@@ -1,25 +1,27 @@
 //! The operation log: an ordered, optionally file-backed sequence of
 //! framed [`LogRecord`]s with a truncation horizon.
 //!
-//! Durability follows the OLTP WAL discipline: a magic/version header,
-//! per-record CRC framing, and recovery that keeps the longest intact
-//! prefix (truncating a torn tail in place). Truncation for age-out
-//! rewrites the file with the retained suffix and records the highest
-//! epoch dropped, so a replica whose cursor predates the horizon gets
-//! a typed [`OplogError::Truncated`] — its signal to re-seed from a
-//! primary snapshot instead of replaying a gap.
+//! On disk (DESIGN.md, "On-disk formats"): the [`wire`] header
+//! `0xD5 'O' 'G' 2`, a horizon frame `[truncated_epoch u64][first_seq
+//! u64]`, then one frame per record ([`crate::record`]). Tail policy:
+//! recovery keeps the longest intact prefix of records and rewrites the
+//! file to it; a defect in the header or the horizon frame is a hard
+//! error. Truncation for age-out rewrites the file with the retained
+//! suffix and records the highest epoch dropped, so a replica whose
+//! cursor predates the horizon gets a typed [`OplogError::Truncated`] —
+//! its signal to re-seed from a primary snapshot instead of replaying a
+//! gap.
 
-use crate::record::{decode_frame, encode_frame, LogPos, LogRecord};
+use crate::record::{decode_record, put_record, LogPos, LogRecord};
+use clinical_types::wire::{self, Put, Reader};
 use obs::lockrank::{LockRank, RankedMutex};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use warehouse::WarehouseChange;
 
-const OPLOG_MAGIC: [u8; 3] = [0xD5, b'O', b'G'];
-const OPLOG_VERSION: u8 = 1;
-/// magic + version + truncated_epoch + first_seq.
-const HEADER_LEN: usize = 4 + 8 + 8;
+/// File header: three magic bytes, then the oplog-format version.
+const OPLOG_HEADER: [u8; 4] = [0xD5, b'O', b'G', 2];
 
 /// Errors surfaced by the oplog and the replication paths above it.
 #[derive(Debug)]
@@ -108,11 +110,27 @@ struct Inner {
 }
 
 impl Inner {
-    fn write_header(out: &mut Vec<u8>, truncated_epoch: u64, first_seq: u64) {
-        out.extend_from_slice(&OPLOG_MAGIC);
-        out.push(OPLOG_VERSION);
-        out.extend_from_slice(&truncated_epoch.to_le_bytes());
-        out.extend_from_slice(&first_seq.to_le_bytes());
+    /// The file header and the horizon frame.
+    fn file_head(truncated_epoch: u64, first_seq: u64) -> Vec<u8> {
+        let mut out = OPLOG_HEADER.to_vec();
+        wire::put_frame(&mut out, |body| {
+            body.put_u64(truncated_epoch);
+            body.put_u64(first_seq);
+        });
+        out
+    }
+
+    /// Inverse of [`Inner::file_head`]: a file's `(truncated_epoch,
+    /// first_seq)` and the walk over the record frames behind them.
+    fn read_head(raw: &[u8]) -> clinical_types::Result<(u64, u64, wire::Frames<'_>)> {
+        let bad = clinical_types::Error::invalid;
+        let rest =
+            wire::check_header(raw, &OPLOG_HEADER)?.ok_or_else(|| bad("truncated header"))?;
+        let mut frames = wire::frames(rest);
+        let mut horizon = Reader::new(frames.next().ok_or_else(|| bad("bad horizon frame"))?);
+        let (truncated_epoch, first_seq) = (horizon.u64()?, horizon.u64()?);
+        horizon.finish()?;
+        Ok((truncated_epoch, first_seq, frames))
     }
 
     /// Rewrite the whole backing file (header + retained frames).
@@ -122,10 +140,9 @@ impl Inner {
         let Some((path, file)) = self.file.as_mut() else {
             return Ok(());
         };
-        let mut out = Vec::new();
-        Self::write_header(&mut out, self.truncated_epoch, self.first_seq);
+        let mut out = Self::file_head(self.truncated_epoch, self.first_seq);
         for record in &self.records {
-            out.extend_from_slice(&encode_frame(record));
+            put_record(&mut out, record);
         }
         let mut fresh = OpenOptions::new()
             .write(true)
@@ -186,8 +203,7 @@ impl Oplog {
 
         if raw.is_empty() {
             // Fresh log: stamp the header.
-            let mut out = Vec::new();
-            Inner::write_header(&mut out, 0, 1);
+            let out = Inner::file_head(0, 1);
             let mut file = OpenOptions::new()
                 .write(true)
                 .create(true)
@@ -197,33 +213,25 @@ impl Oplog {
             file.sync_data()?;
             inner.file = Some((path, file));
         } else {
-            if raw.len() < HEADER_LEN || raw[0..3] != OPLOG_MAGIC || raw[3] != OPLOG_VERSION {
-                return Err(OplogError::Corrupt(format!(
-                    "bad header in {}",
-                    path.display()
-                )));
-            }
-            inner.truncated_epoch = u64::from_le_bytes(raw[4..12].try_into().unwrap());
-            inner.first_seq = u64::from_le_bytes(raw[12..20].try_into().unwrap());
+            let (truncated_epoch, first_seq, mut frames) = Inner::read_head(&raw)
+                .map_err(|e| OplogError::Corrupt(format!("{e} in {}", path.display())))?;
+            inner.truncated_epoch = truncated_epoch;
+            inner.first_seq = first_seq;
             inner.next_seq = inner.first_seq;
             inner.last_epoch = inner.truncated_epoch;
 
-            let mut at = HEADER_LEN;
-            while at < raw.len() {
-                match decode_frame(&raw, at) {
-                    Some((record, end)) => {
-                        inner.next_seq = record.pos.seq + 1;
-                        inner.last_epoch = record.pos.epoch;
-                        inner.records.push(record);
-                        at = end;
-                    }
-                    None => {
-                        // Torn tail: keep the intact prefix only.
-                        torn = true;
-                        break;
-                    }
-                }
+            // Torn tail: keep the intact prefix only.
+            for body in frames.by_ref() {
+                let Ok(record) = decode_record(body) else {
+                    torn = true;
+                    break;
+                };
+                inner.next_seq = record.pos.seq + 1;
+                inner.last_epoch = record.pos.epoch;
+                inner.records.push(record);
             }
+            torn |= frames.torn();
+            let at = OPLOG_HEADER.len() + frames.offset();
 
             let file = OpenOptions::new().append(true).open(&path)?;
             inner.file = Some((path, file));
@@ -268,7 +276,8 @@ impl Oplog {
             change: change.clone(),
         };
         if let Some((_, file)) = inner.file.as_mut() {
-            let frame = encode_frame(&record);
+            let mut frame = Vec::new();
+            put_record(&mut frame, &record);
             file.write_all(&frame)?; // lint:allow(A301, "the oplog lock exists to serialise appends to the backing file; it is the innermost rank and nothing is acquired under it")
             file.sync_data()?; // lint:allow(A301, "durability point of the append; innermost rank, nothing acquired under it")
         }

@@ -1,21 +1,19 @@
-//! Oplog positions and the framed record codec.
+//! Oplog positions and the record codec.
 //!
-//! A record on the wire is
+//! On disk (DESIGN.md, "On-disk formats") a record is one [`wire`]
+//! frame whose body is
 //!
 //! ```text
-//! [epoch u64le][seq u64le][payload_len u32le][payload][crc32 u32le]
+//! [epoch u64][seq u64][change: kind u8, then per kind]
+//!   0 append   [field count]([name str][dtype u8][nullable u8])* [row count][row]*
+//!   1 feedback [dimension str][attribute str][labels as one row]
+//!   2 rewrite  —
 //! ```
 //!
-//! with the CRC-32 (the same IEEE polynomial as the OLTP WAL,
-//! [`oltp::encoding::crc32`]) covering everything before it. The
-//! payload opens with a kind tag and reuses the OLTP self-describing
-//! row codec for values, so the oplog inherits the WAL's corruption
-//! and torn-write detection properties instead of inventing a second
-//! framing discipline.
+//! with rows in the self-describing row codec of [`wire`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use clinical_types::{DataType, Error, FieldDef, Record, Result, Schema, Table};
-use oltp::encoding::{crc32, decode_row, encode_row};
+use clinical_types::wire::{self, Put, Reader};
+use clinical_types::{DataType, Error, FieldDef, Result, Schema, Table};
 use warehouse::WarehouseChange;
 
 /// A position in the oplog: the epoch a record lands the warehouse on
@@ -76,59 +74,20 @@ fn tag_dtype(tag: u8) -> Result<DataType> {
     })
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(Error::invalid("payload truncated in string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(Error::invalid("payload truncated in string body"));
-    }
-    let raw = buf.copy_to_bytes(len);
-    std::str::from_utf8(&raw)
-        .map(str::to_string)
-        .map_err(|_| Error::invalid("invalid UTF-8 in oplog string"))
-}
-
-fn put_row(buf: &mut BytesMut, record: &Record) {
-    let row = encode_row(record);
-    buf.put_u32_le(row.len() as u32);
-    buf.put_slice(&row);
-}
-
-fn get_row(buf: &mut Bytes) -> Result<Record> {
-    if buf.remaining() < 4 {
-        return Err(Error::invalid("payload truncated in row length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(Error::invalid("payload truncated in row body"));
-    }
-    let raw = buf.copy_to_bytes(len);
-    decode_row(&raw)
-}
-
-/// Encode a change into its oplog payload (kind tag + body).
-pub fn encode_change(change: &WarehouseChange) -> Bytes {
-    let mut buf = BytesMut::new();
+fn put_change(buf: &mut Vec<u8>, change: &WarehouseChange) {
     match change {
         WarehouseChange::Append(table) => {
             buf.put_u8(KIND_APPEND);
             let fields = table.schema().fields();
-            buf.put_u16_le(fields.len() as u16);
+            buf.put_u32(fields.len() as u32);
             for field in fields {
-                put_str(&mut buf, &field.name);
+                buf.put_str(&field.name);
                 buf.put_u8(dtype_tag(field.dtype));
                 buf.put_u8(u8::from(field.nullable));
             }
-            buf.put_u32_le(table.len() as u32);
+            buf.put_u32(table.len() as u32);
             for row in table.rows() {
-                put_row(&mut buf, row);
+                wire::put_row(buf, row.values());
             }
         }
         WarehouseChange::Feedback {
@@ -137,121 +96,103 @@ pub fn encode_change(change: &WarehouseChange) -> Bytes {
             labels,
         } => {
             buf.put_u8(KIND_FEEDBACK);
-            put_str(&mut buf, dimension);
-            put_str(&mut buf, attribute);
-            put_row(&mut buf, &Record::new(labels.clone()));
+            buf.put_str(dimension);
+            buf.put_str(attribute);
+            wire::put_row(buf, labels);
         }
         WarehouseChange::Rewrite => buf.put_u8(KIND_REWRITE),
     }
-    buf.freeze()
 }
 
-/// Decode an oplog payload back into the change it captured.
-pub fn decode_change(payload: &Bytes) -> Result<WarehouseChange> {
-    let mut buf = payload.clone();
-    if buf.remaining() < 1 {
-        return Err(Error::invalid("empty oplog payload"));
-    }
-    let change = match buf.get_u8() {
+/// Encode a change into its oplog payload (kind tag + body).
+pub fn encode_change(change: &WarehouseChange) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_change(&mut buf, change);
+    buf
+}
+
+fn read_change(buf: &mut Reader<'_>) -> Result<WarehouseChange> {
+    Ok(match buf.u8()? {
         KIND_APPEND => {
-            if buf.remaining() < 2 {
-                return Err(Error::invalid("payload truncated in field count"));
-            }
-            let nfields = buf.get_u16_le() as usize;
+            // A field is at least name length + dtype + nullable, a
+            // row at least its value count.
+            let nfields = buf.count(6)?;
             let mut fields = Vec::with_capacity(nfields);
             for _ in 0..nfields {
-                let name = get_str(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(Error::invalid("payload truncated in field flags"));
-                }
-                let dtype = tag_dtype(buf.get_u8())?;
-                let nullable = buf.get_u8() != 0;
-                fields.push(if nullable {
+                let name = buf.str()?;
+                let dtype = tag_dtype(buf.u8()?)?;
+                fields.push(if buf.u8()? != 0 {
                     FieldDef::nullable(name, dtype)
                 } else {
                     FieldDef::required(name, dtype)
                 });
             }
             let schema = Schema::new(fields)?;
-            if buf.remaining() < 4 {
-                return Err(Error::invalid("payload truncated in row count"));
-            }
-            let nrows = buf.get_u32_le() as usize;
+            let nrows = buf.count(4)?;
             let mut rows = Vec::with_capacity(nrows);
             for _ in 0..nrows {
-                rows.push(get_row(&mut buf)?);
+                rows.push(buf.row()?);
             }
             WarehouseChange::Append(Table::from_rows(schema, rows)?)
         }
-        KIND_FEEDBACK => {
-            let dimension = get_str(&mut buf)?;
-            let attribute = get_str(&mut buf)?;
-            let labels = get_row(&mut buf)?.into_values();
-            WarehouseChange::Feedback {
-                dimension,
-                attribute,
-                labels,
-            }
-        }
+        KIND_FEEDBACK => WarehouseChange::Feedback {
+            dimension: buf.str()?.to_string(),
+            attribute: buf.str()?.to_string(),
+            labels: buf.row()?.into_values(),
+        },
         KIND_REWRITE => WarehouseChange::Rewrite,
         other => return Err(Error::invalid(format!("unknown change kind {other}"))),
-    };
-    if buf.has_remaining() {
-        return Err(Error::invalid("trailing bytes after oplog payload"));
-    }
+    })
+}
+
+/// Decode an oplog payload back into the change it captured.
+pub fn decode_change(payload: &[u8]) -> Result<WarehouseChange> {
+    let mut buf = Reader::new(payload);
+    let change = read_change(&mut buf)?;
+    buf.finish()?;
     Ok(change)
 }
 
-/// Size of the fixed frame prefix: epoch + seq + payload length.
-pub(crate) const FRAME_PREFIX: usize = 8 + 8 + 4;
-
-/// Encode one record into its on-disk frame (prefix, payload, CRC).
-pub fn encode_frame(record: &LogRecord) -> Vec<u8> {
-    let payload = encode_change(&record.change);
-    let mut out = Vec::with_capacity(FRAME_PREFIX + payload.len() + 4);
-    out.extend_from_slice(&record.pos.epoch.to_le_bytes());
-    out.extend_from_slice(&record.pos.seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
+/// Append `record` to `out` as one frame.
+pub fn put_record(out: &mut Vec<u8>, record: &LogRecord) {
+    wire::put_frame(out, |body| {
+        body.put_u64(record.pos.epoch);
+        body.put_u64(record.pos.seq);
+        put_change(body, &record.change);
+    });
 }
 
-/// Decode the frame starting at `buf[at..]`. Returns the record and
-/// the offset one past its CRC, or `None` when the bytes from `at` on
-/// are torn or corrupt (the caller truncates there).
-pub fn decode_frame(buf: &[u8], at: usize) -> Option<(LogRecord, usize)> {
-    let rest = buf.get(at..)?;
-    if rest.len() < FRAME_PREFIX + 4 {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(rest[0..8].try_into().ok()?);
-    let seq = u64::from_le_bytes(rest[8..16].try_into().ok()?);
-    let payload_len = u32::from_le_bytes(rest[16..20].try_into().ok()?) as usize;
-    let total = FRAME_PREFIX + payload_len;
-    if rest.len() < total + 4 {
-        return None;
-    }
-    let stored = u32::from_le_bytes(rest[total..total + 4].try_into().ok()?);
-    if crc32(&rest[..total]) != stored {
-        return None;
-    }
-    let payload = Bytes::from(&rest[FRAME_PREFIX..total]);
-    let change = decode_change(&payload).ok()?;
-    Some((
-        LogRecord {
-            pos: LogPos { epoch, seq },
-            change,
-        },
-        at + total + 4,
-    ))
+/// Decode the body of one verified frame.
+pub fn decode_record(body: &[u8]) -> Result<LogRecord> {
+    let mut buf = Reader::new(body);
+    let pos = LogPos {
+        epoch: buf.u64()?,
+        seq: buf.u64()?,
+    };
+    let change = read_change(&mut buf)?;
+    buf.finish()?;
+    Ok(LogRecord { pos, change })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clinical_types::Value;
+    use clinical_types::{Record, Value};
     use proptest::prelude::*;
+
+    fn encode_frame(record: &LogRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_record(&mut out, record);
+        out
+    }
+
+    /// The record in the first frame of `buf` and the offset one past
+    /// it, or `None` when that frame is torn, corrupt or undecodable.
+    fn decode_frame(buf: &[u8]) -> Option<(LogRecord, usize)> {
+        let mut frames = wire::frames(buf);
+        let record = decode_record(frames.next()?).ok()?;
+        Some((record, frames.offset()))
+    }
 
     fn sample_table() -> Table {
         let schema = Schema::new(vec![
@@ -323,7 +264,7 @@ mod tests {
             change: WarehouseChange::Append(sample_table()),
         };
         let frame = encode_frame(&record);
-        let (decoded, end) = decode_frame(&frame, 0).unwrap();
+        let (decoded, end) = decode_frame(&frame).unwrap();
         assert_eq!(decoded.pos, record.pos);
         assert_eq!(end, frame.len());
         assert_same_change(&decoded.change, &record.change);
@@ -337,12 +278,38 @@ mod tests {
         };
         let frame = encode_frame(&record);
         for cut in 0..frame.len() {
-            assert!(decode_frame(&frame[..cut], 0).is_none(), "cut {cut}");
+            assert!(decode_frame(&frame[..cut]).is_none(), "cut {cut}");
         }
         for flip in 0..frame.len() {
             let mut bad = frame.clone();
             bad[flip] ^= 0x40;
-            assert!(decode_frame(&bad, 0).is_none(), "flip {flip} accepted");
+            assert!(decode_frame(&bad).is_none(), "flip {flip} accepted");
+        }
+    }
+
+    #[test]
+    fn absurd_counts_with_valid_framing_are_typed_errors() {
+        // 4 G rows / fields / label values claimed by a 9-byte payload.
+        let mut rows = vec![KIND_APPEND];
+        rows.put_u32(0);
+        rows.put_u32(u32::MAX);
+        let mut fields = vec![KIND_APPEND];
+        fields.put_u32(u32::MAX);
+        fields.put_u32(0);
+        let mut labels = vec![KIND_FEEDBACK];
+        labels.put_str("d");
+        labels.put_str("a");
+        labels.put_u32(u32::MAX);
+        for payload in [rows, fields, labels] {
+            assert!(decode_change(&payload).is_err());
+            let mut framed = Vec::new();
+            wire::put_frame(&mut framed, |body| {
+                body.put_u64(1);
+                body.put_u64(1);
+                body.put(&payload);
+            });
+            let body = wire::frames(&framed).next().expect("the CRC is valid");
+            assert!(decode_record(body).is_err());
         }
     }
 

@@ -1,192 +1,138 @@
 //! Segment file encoding.
 //!
-//! Mirrors the WAL v2 framing discipline (`oltp::wal`): a magic +
-//! version header followed by self-delimiting records, each carrying a
-//! trailing CRC-32 over its body. Where the WAL frames row operations,
-//! a segment file frames *columns*:
+//! On disk (DESIGN.md, "On-disk formats"): the [`wire`] header
+//! `0xD5 'S' 'G' 2`, then one [`wire`] frame per record whose body is
 //!
 //! ```text
-//! [0xD5 'S' 'G'] [version u8]
-//! record := [kind u8] [name_len u16 LE] [name] [payload_len u32 LE] [payload] [crc32 u32 LE]
+//! [kind u8][name str][payload — the rest of the body]
 //! ```
 //!
-//! The CRC covers everything from `kind` through the payload, so any
-//! byte flip — header fields included — is detected, exactly like the
-//! WAL's per-record checksums. Unlike the WAL (where a torn tail is
-//! expected and silently truncated on recovery), a segment is sealed
-//! atomically: *any* framing or checksum defect makes the whole file
-//! unreadable, surfacing as a typed error.
+//! Record kinds: `0` meta (id, rows, zone maps, degenerate names;
+//! always first), `1` key column (`rows` × `u32`), `2` measure column
+//! (validity bitmap, then `rows` × `f64`), `3` degenerate column (one
+//! row-codec row of `rows` values).
 //!
-//! Record kinds: `0` meta (zone maps; always first), `1` key column
-//! (fixed-width `u32` LE), `2` measure column (validity bitmap +
-//! fixed-width `f64` LE), `3` degenerate column (chunks of the
-//! self-describing `oltp::encoding` row codec). Readers skip —
-//! but still checksum — records for columns outside the requested
-//! [`ColumnSet`], which is what makes footprint-driven column pruning
-//! an I/O saving on the disk backend.
+//! Tail policy: a segment is sealed atomically, so *any* header, frame
+//! or payload defect makes the whole file unreadable, surfacing as a
+//! typed error. Readers skip decoding records for columns outside the
+//! requested [`ColumnSet`] — the frame walk still checksums them —
+//! which is what makes footprint-driven column pruning a CPU saving on
+//! the disk backend.
 
 use crate::segment::{ColumnSet, Segment, SegmentMeta};
 use crate::zone::{KeyZone, MeasureZone};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use clinical_types::{Error, Record, Result, Value};
-use oltp::encoding::{crc32, decode_row, encode_row};
+use clinical_types::wire::{self, Put, Reader};
+use clinical_types::{Error, Result, Value};
 
-/// Magic prefix of a segment file.
-pub const SEGMENT_MAGIC: [u8; 3] = [0xD5, b'S', b'G'];
-/// Current segment-format version.
-pub const SEGMENT_VERSION: u8 = 1;
+/// File header: three magic bytes, then the segment-format version.
+pub const SEGMENT_HEADER: [u8; 4] = [0xD5, b'S', b'G', 2];
 
 const KIND_META: u8 = 0;
 const KIND_KEY: u8 = 1;
 const KIND_MEASURE: u8 = 2;
 const KIND_DEGENERATE: u8 = 3;
 
-/// Rows per degenerate-column chunk: comfortably under the row
-/// codec's `u16` value-count header.
-const DEGENERATE_CHUNK_ROWS: usize = 32_000;
-
 fn corrupt(what: impl std::fmt::Display) -> Error {
     Error::invalid(format!("corrupt segment: {what}"))
 }
 
-fn put_name(buf: &mut BytesMut, name: &str) {
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name.as_bytes());
+fn put_record(out: &mut Vec<u8>, kind: u8, name: &str, payload: impl FnOnce(&mut Vec<u8>)) {
+    wire::put_frame(out, |body| {
+        body.put_u8(kind);
+        body.put_str(name);
+        payload(body);
+    });
 }
 
-fn put_record(out: &mut BytesMut, kind: u8, name: &str, payload: &[u8]) {
-    let mut body = BytesMut::with_capacity(1 + 2 + name.len() + 4 + payload.len());
-    body.put_u8(kind);
-    put_name(&mut body, name);
-    body.put_u32_le(payload.len() as u32);
-    body.put_slice(payload);
-    let crc = crc32(&body);
-    out.put_slice(&body);
-    out.put_u32_le(crc);
-}
-
-fn meta_payload(meta: &SegmentMeta) -> BytesMut {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(meta.id);
-    buf.put_u64_le(meta.rows);
-    buf.put_u16_le(meta.key_zones.len() as u16);
+fn put_meta(buf: &mut Vec<u8>, meta: &SegmentMeta) {
+    buf.put_u64(meta.id);
+    buf.put_u64(meta.rows);
+    buf.put_u32(meta.key_zones.len() as u32);
     for z in &meta.key_zones {
-        put_name(&mut buf, &z.column);
-        buf.put_u32_le(z.min);
-        buf.put_u32_le(z.max);
+        buf.put_str(&z.column);
+        buf.put_u32(z.min);
+        buf.put_u32(z.max);
         match &z.distinct {
             Some(d) => {
                 buf.put_u8(1);
-                buf.put_u16_le(d.len() as u16);
+                buf.put_u32(d.len() as u32);
                 for k in d {
-                    buf.put_u32_le(*k);
+                    buf.put_u32(*k);
                 }
             }
             None => buf.put_u8(0),
         }
     }
-    buf.put_u16_le(meta.measure_zones.len() as u16);
+    buf.put_u32(meta.measure_zones.len() as u32);
     for z in &meta.measure_zones {
-        put_name(&mut buf, &z.column);
+        buf.put_str(&z.column);
         match z.range {
             Some((mn, mx)) => {
                 buf.put_u8(1);
-                buf.put_f64_le(mn);
-                buf.put_f64_le(mx);
+                buf.put_f64(mn);
+                buf.put_f64(mx);
             }
             None => buf.put_u8(0),
         }
-        buf.put_u64_le(z.null_count);
+        buf.put_u64(z.null_count);
     }
-    buf.put_u16_le(meta.degenerate_columns.len() as u16);
+    buf.put_u32(meta.degenerate_columns.len() as u32);
     for name in &meta.degenerate_columns {
-        put_name(&mut buf, name);
+        buf.put_str(name);
     }
-    buf
 }
 
 /// Encode a segment into its framed byte representation.
-pub fn encode_segment(segment: &Segment) -> Bytes {
-    let mut out = BytesMut::new();
-    out.put_slice(&SEGMENT_MAGIC);
-    out.put_u8(SEGMENT_VERSION);
-    put_record(&mut out, KIND_META, "", &meta_payload(&segment.meta));
+pub fn encode_segment(segment: &Segment) -> Vec<u8> {
+    let mut out = SEGMENT_HEADER.to_vec();
+    put_record(&mut out, KIND_META, "", |p| put_meta(p, &segment.meta));
     for (name, keys) in &segment.keys {
-        let mut payload = BytesMut::with_capacity(keys.len() * 4);
-        for k in keys {
-            payload.put_u32_le(*k);
-        }
-        put_record(&mut out, KIND_KEY, name, &payload);
+        put_record(&mut out, KIND_KEY, name, |p| {
+            for k in keys {
+                p.put_u32(*k);
+            }
+        });
     }
     for (name, values, valid) in &segment.measures {
-        let mut payload = BytesMut::with_capacity(valid.len().div_ceil(8) + values.len() * 8);
-        let mut bitmap = vec![0u8; valid.len().div_ceil(8)];
-        for (i, ok) in valid.iter().enumerate() {
-            if *ok {
-                bitmap[i / 8] |= 1 << (i % 8);
+        put_record(&mut out, KIND_MEASURE, name, |p| {
+            let mut bitmap = vec![0u8; valid.len().div_ceil(8)];
+            for (i, ok) in valid.iter().enumerate() {
+                if *ok {
+                    bitmap[i / 8] |= 1 << (i % 8);
+                }
             }
-        }
-        payload.put_slice(&bitmap);
-        for v in values {
-            payload.put_f64_le(*v);
-        }
-        put_record(&mut out, KIND_MEASURE, name, &payload);
+            p.put(&bitmap);
+            for v in values {
+                p.put_f64(*v);
+            }
+        });
     }
     for (name, values) in &segment.degenerates {
-        let mut payload = BytesMut::new();
-        for chunk in values.chunks(DEGENERATE_CHUNK_ROWS) {
-            let encoded = encode_row(&Record::new(chunk.to_vec()));
-            payload.put_u32_le(encoded.len() as u32);
-            payload.put_slice(&encoded);
-        }
-        put_record(&mut out, KIND_DEGENERATE, name, &payload);
+        put_record(&mut out, KIND_DEGENERATE, name, |p| {
+            wire::put_row(p, values)
+        });
     }
-    out.freeze()
+    out
 }
 
-fn take_name(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 2 {
-        return Err(corrupt("truncated name length"));
-    }
-    let len = buf.get_u16_le() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt("truncated name"));
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("name is not UTF-8"))
-}
-
-fn decode_meta_payload(mut buf: Bytes) -> Result<SegmentMeta> {
-    if buf.remaining() < 16 {
-        return Err(corrupt("meta record too short"));
-    }
-    let id = buf.get_u64_le();
-    let rows = buf.get_u64_le();
-    if buf.remaining() < 2 {
-        return Err(corrupt("meta truncated before key zones"));
-    }
-    let n_keys = buf.get_u16_le();
-    let mut key_zones = Vec::with_capacity(n_keys as usize);
+fn decode_meta(mut buf: Reader<'_>) -> Result<SegmentMeta> {
+    let id = buf.u64()?;
+    let rows = buf.u64()?;
+    // Minimum encoded sizes: a key zone is name + min + max + flag, a
+    // measure zone name + flag + null count, a name its length prefix.
+    let n_keys = buf.count(13)?;
+    let mut key_zones = Vec::with_capacity(n_keys);
     for _ in 0..n_keys {
-        let column = take_name(&mut buf)?;
-        if buf.remaining() < 9 {
-            return Err(corrupt("truncated key zone"));
-        }
-        let min = buf.get_u32_le();
-        let max = buf.get_u32_le();
-        let distinct = match buf.get_u8() {
+        let column = buf.str()?.to_string();
+        let min = buf.u32()?;
+        let max = buf.u32()?;
+        let distinct = match buf.u8()? {
             0 => None,
             1 => {
-                if buf.remaining() < 2 {
-                    return Err(corrupt("truncated distinct set"));
-                }
-                let n = buf.get_u16_le() as usize;
-                if buf.remaining() < n * 4 {
-                    return Err(corrupt("truncated distinct keys"));
-                }
-                Some((0..n).map(|_| buf.get_u32_le()).collect())
+                let n = buf.count(4)?;
+                Some(buf.u32s(n)?)
             }
-            other => return Err(corrupt(format!("bad distinct flag {other}"))),
+            other => return Err(Error::invalid(format!("bad distinct flag {other}"))),
         };
         key_zones.push(KeyZone {
             column,
@@ -195,47 +141,28 @@ fn decode_meta_payload(mut buf: Bytes) -> Result<SegmentMeta> {
             distinct,
         });
     }
-    if buf.remaining() < 2 {
-        return Err(corrupt("meta truncated before measure zones"));
-    }
-    let n_measures = buf.get_u16_le();
-    let mut measure_zones = Vec::with_capacity(n_measures as usize);
+    let n_measures = buf.count(13)?;
+    let mut measure_zones = Vec::with_capacity(n_measures);
     for _ in 0..n_measures {
-        let column = take_name(&mut buf)?;
-        if buf.remaining() < 1 {
-            return Err(corrupt("truncated measure zone"));
-        }
-        let range = match buf.get_u8() {
+        let column = buf.str()?.to_string();
+        let range = match buf.u8()? {
             0 => None,
-            1 => {
-                if buf.remaining() < 16 {
-                    return Err(corrupt("truncated measure range"));
-                }
-                Some((buf.get_f64_le(), buf.get_f64_le()))
-            }
-            other => return Err(corrupt(format!("bad range flag {other}"))),
+            1 => Some((buf.f64()?, buf.f64()?)),
+            other => return Err(Error::invalid(format!("bad range flag {other}"))),
         };
-        if buf.remaining() < 8 {
-            return Err(corrupt("truncated null count"));
-        }
-        let null_count = buf.get_u64_le();
+        let null_count = buf.u64()?;
         measure_zones.push(MeasureZone {
             column,
             range,
             null_count,
         });
     }
-    if buf.remaining() < 2 {
-        return Err(corrupt("meta truncated before degenerate names"));
-    }
-    let n_deg = buf.get_u16_le();
-    let mut degenerate_columns = Vec::with_capacity(n_deg as usize);
+    let n_deg = buf.count(4)?;
+    let mut degenerate_columns = Vec::with_capacity(n_deg);
     for _ in 0..n_deg {
-        degenerate_columns.push(take_name(&mut buf)?);
+        degenerate_columns.push(buf.str()?.to_string());
     }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes in meta record"));
-    }
+    buf.finish()?;
     Ok(SegmentMeta {
         id,
         rows,
@@ -245,139 +172,98 @@ fn decode_meta_payload(mut buf: Bytes) -> Result<SegmentMeta> {
     })
 }
 
-fn decode_key_payload(mut buf: Bytes, rows: usize) -> Result<Vec<u32>> {
-    if buf.remaining() != rows * 4 {
-        return Err(corrupt("key column size mismatch"));
-    }
-    Ok((0..rows).map(|_| buf.get_u32_le()).collect())
+fn decode_keys(mut buf: Reader<'_>, rows: usize) -> Result<Vec<u32>> {
+    let keys = buf.u32s(rows)?;
+    buf.finish()?;
+    Ok(keys)
 }
 
-fn decode_measure_payload(mut buf: Bytes, rows: usize) -> Result<(Vec<f64>, Vec<bool>)> {
-    let bitmap_len = rows.div_ceil(8);
-    if buf.remaining() != bitmap_len + rows * 8 {
-        return Err(corrupt("measure column size mismatch"));
-    }
-    let bitmap = buf.copy_to_bytes(bitmap_len);
-    let valid: Vec<bool> = (0..rows)
+fn decode_measure(mut buf: Reader<'_>, rows: usize) -> Result<(Vec<f64>, Vec<bool>)> {
+    let bitmap = buf.bytes(rows.div_ceil(8))?;
+    let values = buf.f64s(rows)?;
+    buf.finish()?;
+    let valid = (0..rows)
         .map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0)
         .collect();
-    let values: Vec<f64> = (0..rows).map(|_| buf.get_f64_le()).collect();
     Ok((values, valid))
 }
 
-fn decode_degenerate_payload(mut buf: Bytes, rows: usize) -> Result<Vec<Value>> {
-    let mut values: Vec<Value> = Vec::with_capacity(rows);
-    while buf.has_remaining() {
-        if buf.remaining() < 4 {
-            return Err(corrupt("truncated degenerate chunk header"));
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return Err(corrupt("truncated degenerate chunk"));
-        }
-        let chunk = buf.copy_to_bytes(len);
-        let record = decode_row(&chunk).map_err(corrupt)?;
-        values.extend(record.values().iter().cloned());
-    }
+fn decode_degenerate(mut buf: Reader<'_>, rows: usize) -> Result<Vec<Value>> {
+    let values = buf.row()?.into_values();
+    buf.finish()?;
     if values.len() != rows {
-        return Err(corrupt("degenerate column size mismatch"));
+        return Err(Error::invalid("row count mismatch"));
     }
     Ok(values)
 }
 
 /// Decode a framed segment, materialising (at least) the columns in
 /// `columns`. Every record — wanted or not — is CRC-verified, so a
-/// single flipped byte anywhere in the file is detected regardless of
+/// single flipped bit anywhere in the file is detected regardless of
 /// which columns the caller asked for.
 pub fn decode_segment(bytes: &[u8], columns: &ColumnSet) -> Result<Segment> {
-    let mut buf = Bytes::from(bytes);
-    if buf.remaining() < 4 {
-        return Err(corrupt("missing header"));
-    }
-    let magic = buf.copy_to_bytes(3);
-    if magic[..] != SEGMENT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = buf.get_u8();
-    if version != SEGMENT_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
+    let records = wire::check_header(bytes, &SEGMENT_HEADER)
+        .map_err(corrupt)?
+        .ok_or_else(|| corrupt("truncated header"))?;
 
     let mut meta: Option<SegmentMeta> = None;
     let mut keys: Vec<(String, Vec<u32>)> = Vec::new();
     let mut measures: Vec<(String, Vec<f64>, Vec<bool>)> = Vec::new();
     let mut degenerates: Vec<(String, Vec<Value>)> = Vec::new();
 
-    while buf.has_remaining() {
-        if buf.remaining() < 3 {
-            return Err(corrupt("truncated record header"));
-        }
-        let body_start = buf.clone();
-        let kind = buf.get_u8();
-        let name = take_name(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(corrupt("truncated payload length"));
-        }
-        let payload_len = buf.get_u32_le() as usize;
-        if buf.remaining() < payload_len + 4 {
-            return Err(corrupt("truncated record"));
-        }
-        let payload = buf.copy_to_bytes(payload_len);
-        let stored_crc = buf.get_u32_le();
-        let body_len = 1 + 2 + name.len() + 4 + payload_len;
-        let body = body_start.slice(0..body_len);
-        if crc32(&body) != stored_crc {
-            return Err(corrupt(format!("checksum mismatch in record `{name}`")));
-        }
+    let mut seen: Vec<(u8, String)> = Vec::new();
 
+    let mut frames = wire::frames(records);
+    for body in frames.by_ref() {
+        let mut buf = Reader::new(body);
+        let kind = buf.u8().map_err(corrupt)?;
+        let name = buf.str().map_err(corrupt)?.to_string();
+        let in_record = |e: Error| corrupt(format!("record `{name}`: {e}"));
+        if kind == KIND_META {
+            if meta.is_some() {
+                return Err(corrupt("duplicate meta record"));
+            }
+            meta = Some(decode_meta(buf).map_err(in_record)?);
+            continue;
+        }
+        let rows = match &meta {
+            Some(m) => m.rows as usize,
+            None => return Err(corrupt("column record before meta")),
+        };
+        seen.push((kind, name.clone()));
         match kind {
-            KIND_META => {
-                if meta.is_some() {
-                    return Err(corrupt("duplicate meta record"));
-                }
-                meta = Some(decode_meta_payload(payload)?);
+            KIND_KEY if columns.wants_key(&name) => {
+                let column = decode_keys(buf, rows).map_err(in_record)?;
+                keys.push((name, column));
             }
-            KIND_KEY | KIND_MEASURE | KIND_DEGENERATE => {
-                let rows = match &meta {
-                    Some(m) => m.rows as usize,
-                    None => return Err(corrupt("column record before meta")),
-                };
-                match kind {
-                    KIND_KEY if columns.wants_key(&name) => {
-                        keys.push((name, decode_key_payload(payload, rows)?));
-                    }
-                    KIND_MEASURE if columns.wants_measure(&name) => {
-                        let (values, valid) = decode_measure_payload(payload, rows)?;
-                        measures.push((name, values, valid));
-                    }
-                    KIND_DEGENERATE if columns.wants_degenerate(&name) => {
-                        degenerates.push((name, decode_degenerate_payload(payload, rows)?));
-                    }
-                    _ => {} // checksummed above, decoding skipped
-                }
+            KIND_MEASURE if columns.wants_measure(&name) => {
+                let (values, valid) = decode_measure(buf, rows).map_err(in_record)?;
+                measures.push((name, values, valid));
             }
+            KIND_DEGENERATE if columns.wants_degenerate(&name) => {
+                let column = decode_degenerate(buf, rows).map_err(in_record)?;
+                degenerates.push((name, column));
+            }
+            KIND_KEY | KIND_MEASURE | KIND_DEGENERATE => {} // checksummed by the walk, not decoded
             other => return Err(corrupt(format!("unknown record kind {other}"))),
         }
     }
+    if frames.torn() {
+        return Err(corrupt(format!(
+            "torn or checksum-failing record at byte {}",
+            SEGMENT_HEADER.len() + frames.offset()
+        )));
+    }
 
+    // Every column the meta record lists must be in the file, wanted
+    // or not: a file cut on a frame boundary has no torn frame to find.
     let meta = meta.ok_or_else(|| corrupt("no meta record"))?;
-    for want in columns.key_names() {
-        if meta.key_zone(want).is_some() && !keys.iter().any(|(n, _)| n == want) {
-            return Err(corrupt(format!("key column `{want}` missing from file")));
-        }
-    }
-    for want in columns.measure_names() {
-        if meta.measure_zone(want).is_some() && !measures.iter().any(|(n, _, _)| n == want) {
-            return Err(corrupt(format!(
-                "measure column `{want}` missing from file"
-            )));
-        }
-    }
-    for want in columns.degenerate_names() {
-        if meta.has_degenerate(want) && !degenerates.iter().any(|(n, _)| n == want) {
-            return Err(corrupt(format!(
-                "degenerate column `{want}` missing from file"
-            )));
+    let listed = (meta.key_zones.iter().map(|z| (KIND_KEY, &z.column)))
+        .chain(meta.measure_zones.iter().map(|z| (KIND_MEASURE, &z.column)))
+        .chain(meta.degenerate_columns.iter().map(|c| (KIND_DEGENERATE, c)));
+    for (kind, column) in listed {
+        if !seen.iter().any(|(k, name)| *k == kind && name == column) {
+            return Err(corrupt(format!("column `{column}` missing from file")));
         }
     }
     Ok(Segment {
@@ -475,12 +361,38 @@ mod tests {
         }
     }
 
+    #[test]
+    fn absurd_counts_with_valid_crcs_are_typed_errors() {
+        // A meta record claiming 2^40 … 2^64-1 rows, then a 16-byte
+        // column: every frame checksums, no decoder may size a buffer
+        // from (or multiply) the claim.
+        for rows in [1 << 40, 1 << 61, u64::MAX] {
+            let mut meta = sample().meta;
+            meta.rows = rows;
+            for kind in [KIND_KEY, KIND_MEASURE, KIND_DEGENERATE] {
+                let mut file = SEGMENT_HEADER.to_vec();
+                put_record(&mut file, KIND_META, "", |p| put_meta(p, &meta));
+                put_record(&mut file, kind, "Visit", |p| p.put(&[0xFF; 16]));
+                let err = decode_segment(&file, &ColumnSet::all()).unwrap_err();
+                assert!(err.to_string().contains("record `Visit`"), "{err}");
+            }
+        }
+        // The same for a zone-map count inside the meta record itself.
+        let mut file = SEGMENT_HEADER.to_vec();
+        put_record(&mut file, KIND_META, "", |p| {
+            p.put_u64(1);
+            p.put_u64(4);
+            p.put_u32(u32::MAX);
+        });
+        assert!(decode_segment_meta(&file).is_err());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn any_single_byte_flip_is_detected(offset in 0usize..4096, bit in 0u8..8) {
-            let bytes = encode_segment(&sample()).to_vec();
+            let bytes = encode_segment(&sample());
             let offset = offset % bytes.len();
             let mut tampered = bytes.clone();
             tampered[offset] ^= 1 << bit;

@@ -12,8 +12,8 @@
 //!
 //! * [`zone`] — [`KeyZone`] / [`MeasureZone`] pruning summaries.
 //! * [`segment`] — [`Segment`] / [`SegmentMeta`] / [`ColumnSet`].
-//! * [`encode`] — CRC-framed byte format shared with the disk backend,
-//!   mirroring the WAL v2 record framing.
+//! * [`encode`] — the segment file format: column records inside the
+//!   shared [`clinical_types::wire`] frame.
 //! * [`backend`] — the [`SegmentBackend`] trait plus
 //!   [`MemoryBackend`] and [`DiskBackend`].
 //! * [`conformance`] — the shared suite every backend must pass.
@@ -27,8 +27,6 @@ pub mod segment;
 pub mod zone;
 
 pub use backend::{DiskBackend, MemoryBackend, SegmentBackend};
-pub use encode::{
-    decode_segment, decode_segment_meta, encode_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
-};
+pub use encode::{decode_segment, decode_segment_meta, encode_segment, SEGMENT_HEADER};
 pub use segment::{ColumnSet, KeyDictView, MeasureSlice, Segment, SegmentMeta, SegmentSlice};
 pub use zone::{KeyZone, MeasureZone, DISTINCT_KEY_CAP};

@@ -97,17 +97,12 @@ pub struct CompactionConfig {
     /// Rows per sealed segment (the last segment of a run may be
     /// smaller).
     pub target_rows_per_segment: usize,
-    /// Sort rows by their dimension-key tuple before cutting, so each
-    /// segment covers a narrow key range and zone maps prune sharply.
-    /// Disable to seal in arrival order.
-    pub sort: bool,
 }
 
 impl Default for CompactionConfig {
     fn default() -> Self {
         CompactionConfig {
             target_rows_per_segment: 4096,
-            sort: true,
         }
     }
 }
@@ -215,14 +210,12 @@ impl Warehouse {
         // into fixed-size chunks.
         let fact = self.fact();
         let mut order: Vec<usize> = (start..n).collect();
-        if config.sort {
-            order.sort_by(|&a, &b| {
-                fact.dim_keys
-                    .iter()
-                    .map(|col| col[a])
-                    .cmp(fact.dim_keys.iter().map(|col| col[b]))
-            });
-        }
+        order.sort_by(|&a, &b| {
+            fact.dim_keys
+                .iter()
+                .map(|col| col[a])
+                .cmp(fact.dim_keys.iter().map(|col| col[b]))
+        });
         let target = config.target_rows_per_segment.max(1);
         let mut metas = carried;
         let mut new_ids = Vec::new();
@@ -432,7 +425,6 @@ mod tests {
         let mut wh = sample();
         wh.compact_with(&CompactionConfig {
             target_rows_per_segment: 2,
-            sort: true,
         })
         .unwrap();
         assert_eq!(wh.segments().len(), 2);

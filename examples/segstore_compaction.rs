@@ -103,7 +103,6 @@ fn main() -> clinical_types::Result<()> {
     );
     wh.compact_with(&CompactionConfig {
         target_rows_per_segment: ROWS_PER_YEAR,
-        sort: true,
     })?;
     println!(
         "  {} segments sealed ({} files in {}), watermark {}",
@@ -152,7 +151,6 @@ fn main() -> clinical_types::Result<()> {
     let before = seg_files(&dir);
     wh.compact_with(&CompactionConfig {
         target_rows_per_segment: ROWS_PER_YEAR,
-        sort: true,
     })?;
     // Append-only deltas compact incrementally: the sealed prefix is
     // untouched, only the tail becomes a new segment. Vacuum reclaims

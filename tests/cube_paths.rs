@@ -70,7 +70,6 @@ fn load(table: &Table) -> Warehouse {
 fn seal(wh: &mut Warehouse) {
     wh.compact_with(&CompactionConfig {
         target_rows_per_segment: 128,
-        sort: true,
     })
     .unwrap();
 }

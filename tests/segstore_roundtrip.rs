@@ -101,7 +101,7 @@ proptest! {
             between: vec![],
             agg: oracle::Agg::Sum("FBG"),
         });
-        let config = CompactionConfig { target_rows_per_segment: target, sort: true };
+        let config = CompactionConfig { target_rows_per_segment: target };
 
         let dir = temp_dir();
         let backends: [(&str, Arc<dyn SegmentBackend>); 2] = [
@@ -150,7 +150,7 @@ proptest! {
         let dir = temp_dir();
         let mut wh = load_warehouse(&rows);
         wh.set_segment_backend(Arc::new(DiskBackend::create(&dir).unwrap())).unwrap();
-        wh.compact_with(&CompactionConfig { target_rows_per_segment: 8, sort: true }).unwrap();
+        wh.compact_with(&CompactionConfig { target_rows_per_segment: 8 }).unwrap();
 
         let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
             .unwrap()
