@@ -5,7 +5,7 @@
 //! * `no-panic` — no `unwrap()` / `expect()` / `panic!` in designated
 //!   hot-path modules (`serve`, `etl`, `warehouse`, `segstore`, `oplog`,
 //!   `clinical_types::wire`,
-//!   `oltp::{wal,txn,store}`, `olap::{cube,mdx::exec}`) outside
+//!   `oltp::{wal,txn,store}`, `olap::{cube,kernels,mdx::exec}`) outside
 //!   `#[cfg(test)]`;
 //! * `no-todo` — no `todo!` / `unimplemented!` / `dbg!` anywhere;
 //! * `no-raw-timing` — no direct `Instant::now()` in the `serve` /
@@ -54,7 +54,7 @@ pub const RULE_DISPLAY_IMPL: &str = "display-impl";
 
 /// Workspace-relative path fragments whose files count as the serving
 /// hot path for `no-panic`.
-const HOT_PATHS: [&str; 13] = [
+const HOT_PATHS: [&str; 14] = [
     "crates/serve/src/",
     "crates/etl/src/",
     "crates/warehouse/src/",
@@ -67,6 +67,7 @@ const HOT_PATHS: [&str; 13] = [
     "crates/oltp/src/txn.rs",
     "crates/oltp/src/store.rs",
     "crates/olap/src/cube.rs",
+    "crates/olap/src/kernels/",
     "crates/olap/src/mdx/exec.rs",
 ];
 

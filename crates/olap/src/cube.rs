@@ -254,9 +254,9 @@ impl Cube {
     /// cube — how many sealed segments the scan pruned and how many
     /// rows it actually visited (the numbers query profiles report).
     ///
-    /// There is nothing to configure: which of the three paths runs
+    /// There is nothing to configure: which of the two paths runs
     /// (see [`ScanStats`]) follows from the warehouse's sealed state
-    /// and the spec's group domain alone.
+    /// and the spec alone.
     pub fn build_with_stats(warehouse: &Warehouse, spec: &CubeSpec) -> Result<(Cube, ScanStats)> {
         let mut span = obs::span("olap.cube_build");
         let (cells, stats) = match SegmentedScan::plan(warehouse, spec)? {
@@ -546,13 +546,13 @@ fn fold_rows(
 /// | observed | path |
 /// |---|---|
 /// | `segments_total == 0` | row loop over the whole fact table |
-/// | `morsels_executed > 0` | kernels over sealed segments (+ row loop over the tail) |
-/// | `segments_total > 0`, `morsels_executed == 0` | scalar hash per sealed segment (+ row loop over the tail) |
+/// | `segments_total > 0` | kernels over the zone-map survivors (+ row loop over the tail) |
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Sealed segments the build considered: 0 when the row loop
-    /// answered the whole table, because nothing is sealed or the
-    /// sealed rows could not be proven to mirror the fact table.
+    /// answered the whole table, because nothing is sealed, the sealed
+    /// rows could not be proven to mirror the fact table, or the
+    /// spec's group domain is too large for dense lanes.
     pub segments_total: u64,
     /// Sealed segments skipped on zone-map evidence alone — never
     /// fetched, never decoded.
@@ -560,32 +560,46 @@ pub struct ScanStats {
     /// Fact rows actually visited (surviving segments plus the
     /// mutable tail, or the whole fact table).
     pub rows_scanned: u64,
-    /// Morsels the kernels ran (0 when every row went through the
-    /// scalar segment hash or the row loop).
+    /// Morsels the kernels ran (0 when the row loop answered, or when
+    /// zone maps pruned every sealed segment).
     pub morsels_executed: u64,
 }
 
 /// A validated segmented scan: the spec's columns all exist in the
-/// sealed schema and the sealed rows provably mirror fact rows
-/// `0..watermark`, so the build may scan segments plus the tail
-/// instead of whole fact-table columns.
+/// sealed schema, the sealed rows provably mirror fact rows
+/// `0..watermark` and the group domain fits dense lanes, so the build
+/// may run segments through the kernels (plus the tail through the row
+/// loop) instead of whole fact-table columns.
 struct SegmentedScan<'a> {
     warehouse: &'a Warehouse,
     spec: &'a CubeSpec,
-    /// Per axis: `(dimension name, dimension index, attribute index)`.
-    axes: Vec<(String, usize, usize)>,
+    axes: Vec<MemberCodes<'a>>,
+    /// Group ids over the axes' member codes: the domain is the
+    /// product of the axis *attributes'* member counts, whatever the
+    /// dimensions' key counts.
+    layout: GroupLayout,
     /// Per filtered dimension: surrogate keys whose tuples satisfy
-    /// every attribute condition on that dimension (intersection).
-    key_filters: Vec<(String, BTreeSet<u32>)>,
+    /// every attribute condition on that dimension (intersection) —
+    /// as a set for the zone maps, packed for the kernels.
+    key_filters: Vec<(&'a str, BTreeSet<u32>, KeyLut)>,
+    /// Every dimension whose key column the scan reads, with its key
+    /// count: a sealed key at or past it is dangling.
+    key_domains: Vec<(&'a str, usize)>,
     /// Columns a segment fetch must materialise.
     columns: ColumnSet,
     metas: Vec<Arc<SegmentMeta>>,
     watermark: usize,
 }
 
-/// Surrogate-key cell map produced by a segment scan, before keys are
-/// translated to attribute values.
-type RawCells = HashMap<Vec<u32>, CellStats>;
+/// One dimension attribute as the kernels see it.
+struct MemberCodes<'a> {
+    /// Dimension whose key column carries the attribute.
+    dimension: &'a str,
+    /// Surrogate key → member code.
+    codes: &'a [u32],
+    /// Member code → attribute value.
+    members: &'a [Value],
+}
 
 /// The kernels' accumulation state: the aggregate lanes plus the
 /// selection/group-id scratch vectors reused across morsels.
@@ -593,29 +607,6 @@ struct KernelState {
     lanes: AggLanes,
     sel: Vec<u32>,
     gids: Vec<u32>,
-}
-
-/// Dense grouping over the *distinct* dimensions of the axis list.
-/// Axes drawn from the same dimension table share one surrogate key
-/// per row, so they share one radix component: grouping `Gender ×
-/// Age_Band` when both live in the personal dimension costs that
-/// dimension's cardinality once, not its square — which keeps the
-/// paper model's multi-attribute dimensions inside
-/// [`crate::kernels::MAX_DENSE_GROUPS`].
-struct DenseGrouping {
-    layout: GroupLayout,
-    /// Dimension column name per layout slot (first axis wins).
-    slot_dims: Vec<String>,
-    /// Axis index → layout slot; repeated dimensions repeat a slot.
-    axis_slots: Vec<usize>,
-}
-
-impl DenseGrouping {
-    /// Expand a layout slot-key tuple back to the per-axis surrogate
-    /// key tuple the scalar translate step expects.
-    fn axis_keys(&self, slot_keys: &[u32]) -> Vec<u32> {
-        self.axis_slots.iter().map(|&s| slot_keys[s]).collect()
-    }
 }
 
 impl<'a> SegmentedScan<'a> {
@@ -634,70 +625,68 @@ impl<'a> SegmentedScan<'a> {
         // prove that, so fall back (the serve layer separately counts
         // those aged-out events).
         match warehouse.deltas_since(seg.compacted_epoch()) {
-            Some(chain) => {
-                if ChangeSet::fold(&chain).rewrote_existing {
-                    return Ok(None);
-                }
-            }
-            None => return Ok(None),
+            Some(chain) if !ChangeSet::fold(&chain).rewrote_existing => {}
+            _ => return Ok(None),
         }
         let metas = seg.metas().to_vec();
-        let schema = match metas.first() {
-            Some(m) => Arc::clone(m),
-            None => return Ok(None),
+        let Some(schema) = metas.first().cloned() else {
+            return Ok(None);
         };
 
         // Resolve every referenced column against the sealed schema;
         // anything missing (e.g. a feedback dimension added after the
-        // last compaction) declines.
+        // last compaction) declines. These loops are also the column
+        // pruning: a fetch materialises exactly what they name.
+        let mut key_domains: Vec<(&str, usize)> = Vec::new();
+        let mut resolve = |attr: &str| -> Result<Option<MemberCodes<'a>>> {
+            let (di, ai) = warehouse.find_attribute(attr)?;
+            let dim = warehouse.dimensions().get(di);
+            let resolved = dim.and_then(|d| Some((d, d.members(ai)?, d.codes(ai)?)));
+            let (dim, members, codes) = resolved
+                .ok_or_else(|| Error::invalid(format!("dangling attribute index {di}.{ai}")))?;
+            if schema.key_zone(&dim.name).is_none() {
+                return Ok(None);
+            }
+            if !key_domains.iter().any(|(name, _)| *name == dim.name) {
+                key_domains.push((&dim.name, dim.len()));
+            }
+            Ok(Some(MemberCodes {
+                dimension: &dim.name,
+                codes,
+                members,
+            }))
+        };
         let mut axes = Vec::with_capacity(spec.axes.len());
-        let mut columns = ColumnSet::empty();
         for attr in &spec.axes {
-            let (di, ai) = warehouse.find_attribute(attr)?;
-            let dim = warehouse
-                .dimensions()
-                .get(di)
-                .ok_or_else(|| Error::invalid(format!("dangling dimension index {di}")))?;
-            if schema.key_zone(&dim.name).is_none() {
-                return Ok(None);
+            match resolve(attr)? {
+                Some(axis) => axes.push(axis),
+                None => return Ok(None),
             }
-            columns = columns.with_key(dim.name.clone());
-            axes.push((dim.name.clone(), di, ai));
         }
-        // Attribute filters become per-dimension allowed-key sets by
-        // scanning the (small, dictionary-encoded) dimension tables —
-        // the resolution zone maps are then matched against.
-        let mut allowed_by_dim: BTreeMap<String, BTreeSet<u32>> = BTreeMap::new();
+        // An attribute filter becomes the set of keys whose member is
+        // allowed: the values are matched against the attribute's few
+        // members once, then each key is an integer test.
+        let mut allowed_by_dim: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
         for (attr, allowed) in spec.filter.attribute_conditions() {
-            let (di, ai) = warehouse.find_attribute(attr)?;
-            let dim = warehouse
-                .dimensions()
-                .get(di)
-                .ok_or_else(|| Error::invalid(format!("dangling dimension index {di}")))?;
-            if schema.key_zone(&dim.name).is_none() {
+            let Some(filtered) = resolve(attr)? else {
                 return Ok(None);
-            }
-            columns = columns.with_key(dim.name.clone());
-            let mut keys = BTreeSet::new();
-            for k in 0..dim.len() as u32 {
-                let hit = dim
-                    .tuple(k)
-                    .and_then(|t| t.get(ai))
-                    .is_some_and(|v| allowed.iter().any(|a| a == v));
-                if hit {
-                    keys.insert(k);
-                }
-            }
-            match allowed_by_dim.entry(dim.name.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(keys);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let merged = e.get().intersection(&keys).copied().collect();
-                    *e.get_mut() = merged;
-                }
-            }
+            };
+            let passes: Vec<bool> = (filtered.members.iter())
+                .map(|member| allowed.contains(member))
+                .collect();
+            let keys = (0u32..)
+                .zip(filtered.codes)
+                .filter(|(_, &code)| passes.get(code as usize) == Some(&true))
+                .map(|(key, _)| key);
+            let keys: BTreeSet<u32> = match allowed_by_dim.get(filtered.dimension) {
+                Some(earlier) => keys.filter(|key| earlier.contains(key)).collect(),
+                None => keys.collect(),
+            };
+            allowed_by_dim.insert(filtered.dimension, keys);
         }
+        let mut columns = key_domains
+            .iter()
+            .fold(ColumnSet::empty(), |set, (dim, _)| set.with_key(*dim));
         for (name, _, _) in spec.filter.measure_conditions() {
             if schema.measure_zone(name).is_none() {
                 return Ok(None);
@@ -719,28 +708,29 @@ impl<'a> SegmentedScan<'a> {
                 columns = columns.with_degenerate(name.clone());
             }
         }
-        // Column pruning is driven by the analyzer's footprint: the
-        // scan materialises exactly the dimension keys the query
-        // provably reads (plus the measures/degenerates gathered
-        // above). A conservative footprint — some name failed to
-        // resolve — disables column pruning instead of guessing.
-        let catalog = analyze::Catalog::from_star(warehouse.star());
-        let footprint = crate::semantic::footprint_cube(&catalog, spec);
-        if footprint.is_conservative() {
-            columns = ColumnSet::all();
-        } else {
-            for dim in footprint.dimensions() {
-                if schema.key_zone(dim).is_none() {
-                    return Ok(None);
-                }
-                columns = columns.with_key(dim.clone());
-            }
-        }
+        // Dense lanes need a bounded domain; a spec over attributes
+        // with too many members goes to the row loop.
+        let cards: Vec<u32> = axes.iter().map(|a| a.members.len() as u32).collect();
+        let Some(layout) = GroupLayout::try_new(&cards) else {
+            return Ok(None);
+        };
+        // Keys past the largest allowed key are non-members by
+        // construction, so a LUT only needs to reach that far.
+        let key_filters = allowed_by_dim
+            .into_iter()
+            .map(|(dim, allowed)| {
+                let domain = allowed.last().map_or(0, |k| k + 1);
+                let lut = KeyLut::new(domain, allowed.iter().copied());
+                (dim, allowed, lut)
+            })
+            .collect();
         Ok(Some(SegmentedScan {
             warehouse,
             spec,
             axes,
-            key_filters: allowed_by_dim.into_iter().collect(),
+            layout,
+            key_filters,
+            key_domains,
             columns,
             metas,
             watermark: seg.watermark(),
@@ -749,7 +739,7 @@ impl<'a> SegmentedScan<'a> {
 
     /// Could any row of the segment behind `meta` pass the filter?
     fn survives_zones(&self, meta: &SegmentMeta) -> bool {
-        for (dim, allowed) in &self.key_filters {
+        for (dim, allowed, _) in &self.key_filters {
             if let Some(zone) = meta.key_zone(dim) {
                 if !zone.may_contain_any(allowed) {
                     return false;
@@ -766,110 +756,25 @@ impl<'a> SegmentedScan<'a> {
         true
     }
 
-    fn track_distinct(&self) -> bool {
-        matches!(self.spec.measure, MeasureRef::DistinctDegenerate(_))
-    }
-
-    /// Scan one surviving segment into a partial cell map.
-    fn scan_segment(&self, meta: &SegmentMeta) -> Result<RawCells> {
+    /// Fetch one surviving segment and prove, from its zone maps
+    /// alone, that every key the scan will read resolves: a key past
+    /// its dimension table is a typed error here, never a row counted
+    /// in some other cell.
+    fn fetch(&self, id: u64) -> Result<Arc<Segment>> {
         fault::point("olap.segment_scan").map_err(|e| Error::invalid(e.to_string()))?;
-        let segment = self.warehouse.fetch_segment(meta.id, &self.columns)?;
-        let missing =
-            |what: &str| Error::invalid(format!("segment {} lacks column `{what}`", meta.id));
-        let axis_keys = self
-            .axes
-            .iter()
-            .map(|(dim, _, _)| segment.key_column(dim).ok_or_else(|| missing(dim)))
-            .collect::<Result<Vec<_>>>()?;
-        let filter_keys = self
-            .key_filters
-            .iter()
-            .map(|(dim, allowed)| {
-                segment
-                    .key_column(dim)
-                    .map(|col| (col, allowed))
-                    .ok_or_else(|| missing(dim))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let filter_measures = self
-            .spec
-            .filter
-            .measure_conditions()
-            .iter()
-            .map(|(name, lo, hi)| {
-                segment
-                    .measure_column(name)
-                    .map(|(values, valid)| (values, valid, *lo, *hi))
-                    .ok_or_else(|| missing(name))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let measure = match &self.spec.measure {
-            MeasureRef::Measure(name) => {
-                Some(segment.measure_column(name).ok_or_else(|| missing(name))?)
-            }
-            MeasureRef::RowCount | MeasureRef::DistinctDegenerate(_) => None,
-        };
-        let distinct = match &self.spec.measure {
-            MeasureRef::DistinctDegenerate(name) => Some(
-                segment
-                    .degenerate_column(name)
-                    .ok_or_else(|| missing(name))?,
-            ),
-            MeasureRef::RowCount | MeasureRef::Measure(_) => None,
-        };
-        // Group by raw surrogate keys: the hot loop never touches the
-        // dictionary, and the (few) groups are translated to attribute
-        // values once per cell in `execute`.
-        let mut cells = RawCells::new();
-        'rows: for r in 0..segment.rows() {
-            for (col, allowed) in &filter_keys {
-                if !allowed.contains(&col[r]) {
-                    continue 'rows;
+        let segment = self.warehouse.fetch_segment(id, &self.columns)?;
+        for (dim, len) in &self.key_domains {
+            match segment.meta.key_zone(dim) {
+                Some(zone) if zone.min <= zone.max && zone.max as usize >= *len => {
+                    let key = zone.max;
+                    return Err(Error::invalid(format!(
+                        "dangling key {key} in dimension `{dim}` (segment {id})"
+                    )));
                 }
+                _ => {}
             }
-            for (values, valid, lo, hi) in &filter_measures {
-                if !(valid[r] && values[r] >= *lo && values[r] < *hi) {
-                    continue 'rows;
-                }
-            }
-            let key: Vec<u32> = axis_keys.iter().map(|keys| keys[r]).collect();
-            let cell = cells
-                .entry(key)
-                .or_insert_with(|| CellStats::new(self.track_distinct()));
-            let measure_value = measure.and_then(|(values, valid)| valid[r].then(|| values[r]));
-            cell.push(measure_value, distinct.map(|col| &col[r]));
         }
-        Ok(cells)
-    }
-
-    /// Dense grouping over the spec's axes, or `None` when any axis
-    /// dimension is unresolvable/empty or the dense domain (over
-    /// *distinct* dimensions — same-dimension axes share a radix
-    /// slot) exceeds [`crate::kernels::MAX_DENSE_GROUPS`] — the
-    /// scalar hash path handles those.
-    fn dense_grouping(&self) -> Option<DenseGrouping> {
-        let dims = self.warehouse.dimensions();
-        let mut slot_di: Vec<usize> = Vec::new();
-        let mut slot_dims: Vec<String> = Vec::new();
-        let mut cards: Vec<u32> = Vec::new();
-        let mut axis_slots = Vec::with_capacity(self.axes.len());
-        for (dim, di, _) in &self.axes {
-            let slot = match slot_di.iter().position(|d| d == di) {
-                Some(s) => s,
-                None => {
-                    slot_di.push(*di);
-                    slot_dims.push(dim.clone());
-                    cards.push(dims.get(*di).map(|d| d.len() as u32)?);
-                    slot_di.len() - 1
-                }
-            };
-            axis_slots.push(slot);
-        }
-        Some(DenseGrouping {
-            layout: GroupLayout::try_new(&cards)?,
-            slot_dims,
-            axis_slots,
-        })
+        Ok(segment)
     }
 
     /// Vectorized scan of one morsel: fold every predicate into a
@@ -880,14 +785,12 @@ impl<'a> SegmentedScan<'a> {
         &self,
         segment: &Segment,
         rows: Range<usize>,
-        grouping: &DenseGrouping,
-        luts: &[(String, KeyLut)],
         state: &mut KernelState,
     ) -> Result<()> {
         let slice = segment.slice(rows)?;
         let missing = |what: &str| Error::invalid(format!("segment slice lacks column `{what}`"));
         let mut bitmap = SelectionBitmap::all(slice.len());
-        for (dim, lut) in luts {
+        for (dim, _, lut) in &self.key_filters {
             bitmap.and_key_in(slice.key_slice(dim).ok_or_else(|| missing(dim))?, lut);
         }
         for (name, lo, hi) in self.spec.filter.measure_conditions() {
@@ -900,13 +803,16 @@ impl<'a> SegmentedScan<'a> {
         if sel.is_empty() {
             return Ok(());
         }
-        let slot_keys = grouping
-            .slot_dims
+        let axes = self
+            .axes
             .iter()
-            .map(|dim| slice.key_slice(dim).ok_or_else(|| missing(dim)))
+            .map(|a| match slice.key_slice(a.dimension) {
+                Some(keys) => Ok((keys, a.codes)),
+                None => Err(missing(a.dimension)),
+            })
             .collect::<Result<Vec<_>>>()?;
         gids.clear();
-        grouping.layout.compose(&slot_keys, sel, gids);
+        self.layout.compose(&axes, sel, gids);
         match &self.spec.measure {
             MeasureRef::RowCount => lanes.accumulate_rows(gids),
             MeasureRef::Measure(name) => {
@@ -921,75 +827,10 @@ impl<'a> SegmentedScan<'a> {
         Ok(())
     }
 
-    /// Kernel path over the surviving segments: cut them into morsels,
-    /// run each through the kernels into one set of lanes, and decode
-    /// occupied group ids back to surrogate-key tuples. `Ok(None)`
-    /// means "use the scalar segment hash": the group domain is too
-    /// large for dense lanes.
-    fn vectorized_cells(&self, survivors: &[&Arc<SegmentMeta>]) -> Result<Option<(RawCells, u64)>> {
-        if survivors.is_empty() {
-            return Ok(None);
-        }
-        let grouping = match self.dense_grouping() {
-            Some(g) => g,
-            None => return Ok(None),
-        };
-        // Filter sets become packed LUTs; keys past the largest
-        // allowed key are non-members by construction, so the LUT
-        // domain only needs to reach that far.
-        let luts: Vec<(String, KeyLut)> = self
-            .key_filters
-            .iter()
-            .map(|(dim, allowed)| {
-                let domain = allowed.iter().next_back().map_or(0, |k| k + 1);
-                (dim.clone(), KeyLut::new(domain, allowed.iter().copied()))
-            })
-            .collect();
-        let kind = match &self.spec.measure {
-            MeasureRef::RowCount => LaneKind::Rows,
-            MeasureRef::Measure(_) => LaneKind::Measure,
-            MeasureRef::DistinctDegenerate(_) => LaneKind::Distinct,
-        };
-        let segment_rows: Vec<usize> = survivors.iter().map(|m| m.rows as usize).collect();
-        let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
-        let mut state = KernelState {
-            lanes: AggLanes::new(kind, grouping.layout.groups()),
-            sel: Vec::new(),
-            gids: Vec::new(),
-        };
-        let mut executed = 0u64;
-        // Consecutive morsels of one segment share a single fetch,
-        // even on cold backends.
-        let mut cached: Option<(usize, Arc<Segment>)> = None;
-        for m in morsels(&segment_rows, DEFAULT_MORSEL_ROWS) {
-            let segment = match &cached {
-                Some((s, seg)) if *s == m.segment => Arc::clone(seg),
-                _ => {
-                    fault::point("olap.segment_scan").map_err(|e| Error::invalid(e.to_string()))?;
-                    let meta = survivors[m.segment];
-                    let seg = self.warehouse.fetch_segment(meta.id, &self.columns)?;
-                    cached = Some((m.segment, Arc::clone(&seg)));
-                    seg
-                }
-            };
-            let mut morsel_span = obs::span("olap.morsel");
-            morsel_span.record("segment", survivors[m.segment].id);
-            morsel_span.record("rows", m.rows.len());
-            self.scan_morsel(&segment, m.rows, &grouping, &luts, &mut state)?;
-            executed += 1;
-        }
-        let cells = state.lanes.into_cells();
-        let mut raw = HashMap::with_capacity(cells.len());
-        for (gid, stats) in cells {
-            raw.insert(grouping.axis_keys(&grouping.layout.decode(gid)), stats);
-        }
-        Ok(Some((raw, executed)))
-    }
-
-    /// Run the scan: prune on zone maps, run survivors through the
-    /// kernels — or, when the group domain is too large for them,
-    /// through the scalar hash segment by segment — then fold the
-    /// mutable tail through the row loop.
+    /// Run the scan: prune on zone maps, cut the survivors into
+    /// morsels and run each through the kernels into one set of lanes,
+    /// decode the occupied group ids straight to member values, then
+    /// fold the mutable tail through the row loop.
     fn execute(&self) -> Result<(Cells, ScanStats)> {
         let survivors: Vec<&Arc<SegmentMeta>> = self
             .metas
@@ -1002,46 +843,47 @@ impl<'a> SegmentedScan<'a> {
             rows_scanned: survivors.iter().map(|m| m.rows).sum(),
             morsels_executed: 0,
         };
-        let track = self.track_distinct();
-        let raw_cells = match self.vectorized_cells(&survivors)? {
-            Some((cells, morsels)) => {
-                stats.morsels_executed = morsels;
-                cells
-            }
-            None => {
-                let mut merged = RawCells::new();
-                for meta in &survivors {
-                    for (key, partial_cell) in self.scan_segment(meta)? {
-                        merged
-                            .entry(key)
-                            .or_insert_with(|| CellStats::new(track))
-                            .merge(&partial_cell);
-                    }
-                }
-                merged
-            }
+        let kind = match &self.spec.measure {
+            MeasureRef::RowCount => LaneKind::Rows,
+            MeasureRef::Measure(_) => LaneKind::Measure,
+            MeasureRef::DistinctDegenerate(_) => LaneKind::Distinct,
         };
-
-        // Translate each surrogate-key group to attribute values —
-        // once per cell, not once per row.
-        let dims = self.warehouse.dimensions();
-        let mut cells = Cells::with_capacity(raw_cells.len());
-        for (raw_key, cell) in raw_cells {
-            let mut key = Vec::with_capacity(raw_key.len());
-            for (k, (dim, di, ai)) in raw_key.iter().zip(&self.axes) {
-                let value = dims
-                    .get(*di)
-                    .and_then(|d| d.tuple(*k))
-                    .and_then(|t| t.get(*ai))
-                    .ok_or_else(|| {
-                        Error::invalid(format!("dangling key {k} in dimension `{dim}`"))
-                    })?;
-                key.push(value.clone());
-            }
-            cells
-                .entry(key)
-                .or_insert_with(|| CellStats::new(track))
-                .merge(&cell);
+        let segment_rows: Vec<usize> = survivors.iter().map(|m| m.rows as usize).collect();
+        let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
+        let mut state = KernelState {
+            lanes: AggLanes::new(kind, self.layout.groups()),
+            sel: Vec::new(),
+            gids: Vec::new(),
+        };
+        // Consecutive morsels of one segment share a single fetch,
+        // even on cold backends.
+        let mut cached: Option<(usize, Arc<Segment>)> = None;
+        for m in morsels(&segment_rows, DEFAULT_MORSEL_ROWS) {
+            let segment = match &cached {
+                Some((s, seg)) if *s == m.segment => Arc::clone(seg),
+                _ => {
+                    let seg = self.fetch(survivors[m.segment].id)?;
+                    cached = Some((m.segment, Arc::clone(&seg)));
+                    seg
+                }
+            };
+            let mut morsel_span = obs::span("olap.morsel");
+            morsel_span.record("segment", survivors[m.segment].id);
+            morsel_span.record("rows", m.rows.len());
+            self.scan_morsel(&segment, m.rows, &mut state)?;
+            stats.morsels_executed += 1;
+        }
+        // Members are distinct, so distinct group ids are distinct
+        // coordinates: one cell each, nothing to merge.
+        let mut cells = Cells::new();
+        for (gid, cell) in state.lanes.into_cells() {
+            let codes = self.layout.decode(gid);
+            let coords = codes.iter().zip(&self.axes).map(|(&code, axis)| {
+                axis.members.get(code as usize).cloned().ok_or_else(|| {
+                    Error::invalid(format!("no member {code} in `{}`", axis.dimension))
+                })
+            });
+            cells.insert(coords.collect::<Result<Vec<_>>>()?, cell);
         }
 
         // The mutable tail: rows appended since the last compaction.
@@ -1468,14 +1310,23 @@ mod tests {
             CubeSpec::measure(vec!["Age_Band"], Aggregate::Sum, "FBG"),
             CubeSpec::measure(vec!["Gender"], Aggregate::Avg, "FBG"),
             CubeSpec::measure(vec!["Age_Band"], Aggregate::Min, "FBG"),
+            CubeSpec::measure(vec!["Gender"], Aggregate::Max, "FBG"),
             CubeSpec::distinct(vec!["DiabetesStatus"], "PatientId"),
+            CubeSpec::distinct(vec!["Gender"], "PatientId").with_filter(
+                CubeFilter::all()
+                    .equals("DiabetesStatus", "no")
+                    .measure_between("FBG", 4.5, 6.5),
+            ),
         ];
         for spec in specs {
             let (seg, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
             assert_eq!(seg, row_loop(&wh, &spec), "spec {}", spec.fingerprint());
             assert_eq!(stats.segments_total, 3);
-            assert_eq!(stats.segments_pruned, 0, "no filter, nothing to prune");
-            assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
+            assert!(stats.morsels_executed > 0, "kernel path must run");
+            if spec.filter.is_empty() {
+                assert_eq!(stats.segments_pruned, 0, "no filter, nothing to prune");
+                assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
+            }
         }
     }
 
@@ -1513,9 +1364,12 @@ mod tests {
         let mut wh = banded_warehouse();
         compact_small(&mut wh);
         // Appended after compaction: lives in the tail, not a segment.
+        // The last row brings a tuple and a member ("80+") no sealed
+        // row has.
         let tail = demo_table(vec![
             (100, "F", "40-60", "yes", Some(5.5)),
             (101, "M", "40-60", "no", Some(5.25)),
+            (102, "F", "80+", "yes", Some(6.0)),
         ]);
         wh.append(&tail).unwrap();
         let spec = CubeSpec::count(vec!["Gender"])
@@ -1523,49 +1377,25 @@ mod tests {
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
         assert_eq!(cube, row_loop(&wh, &spec));
         assert_eq!(stats.segments_pruned, 2, "tail does not disable pruning");
-        assert_eq!(stats.rows_scanned, 8 + 2);
+        assert_eq!(stats.rows_scanned, 8 + 3);
         assert_eq!(cube.value(&k(&["F"])), Some(5.0));
         assert_eq!(cube.value(&k(&["M"])), Some(5.0));
+
+        let by_band = CubeSpec::measure(vec!["Age_Band", "Gender"], Aggregate::Sum, "FBG");
+        let (cube, stats) = Cube::build_with_stats(&wh, &by_band).unwrap();
+        assert_eq!(cube, row_loop(&wh, &by_band));
+        assert!(stats.morsels_executed > 0, "the sealed part: {stats:?}");
+        assert_eq!(cube.value(&k(&["80+", "F"])), Some(6.0));
     }
 
-    #[test]
-    fn kernels_agree_with_the_row_loop() {
-        let mut wh = banded_warehouse();
-        compact_small(&mut wh);
-        let specs = [
-            CubeSpec::count(vec!["Gender", "Age_Band"]),
-            CubeSpec::measure(vec!["Age_Band"], Aggregate::Sum, "FBG"),
-            CubeSpec::measure(vec!["Gender"], Aggregate::Max, "FBG"),
-            CubeSpec::distinct(vec!["DiabetesStatus"], "PatientId"),
-            CubeSpec::distinct(vec!["Gender"], "PatientId").with_filter(
-                CubeFilter::all()
-                    .equals("DiabetesStatus", "no")
-                    .measure_between("FBG", 4.5, 6.5),
-            ),
-        ];
-        for spec in specs {
-            let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-            assert_eq!(cube, row_loop(&wh, &spec), "spec {}", spec.fingerprint());
-            assert!(stats.morsels_executed > 0, "kernel path must run");
-        }
-    }
-
-    #[test]
-    fn oversized_group_domain_falls_back_to_scalar_loop() {
-        // Two ~300-value dimensions: the dense domain (300 × 300 =
-        // 90 000) exceeds MAX_DENSE_GROUPS, so the build must take the
-        // scalar hash path — and still agree with the row loop.
-        let star = StarSchema::new(
-            FactDef::new("Facts", vec!["M"], vec![]),
-            vec![
-                DimensionDef::new("D1", vec!["A"]),
-                DimensionDef::new("D2", vec!["B"]),
-            ],
-        )
-        .unwrap();
+    /// 300 rows over `A` (300 members), `B` (300) and `C` (5), sealed
+    /// 100 rows to a segment.
+    fn wide_warehouse(dimensions: Vec<DimensionDef>) -> Warehouse {
+        let star = StarSchema::new(FactDef::new("Facts", vec!["M"], vec![]), dimensions).unwrap();
         let schema = Schema::new(vec![
             FieldDef::nullable("A", DataType::Text),
             FieldDef::nullable("B", DataType::Text),
+            FieldDef::nullable("C", DataType::Text),
             FieldDef::nullable("M", DataType::Float),
         ])
         .unwrap();
@@ -1574,6 +1404,7 @@ mod tests {
                 Record::new(vec![
                     format!("a{i}").into(),
                     format!("b{i}").into(),
+                    format!("c{}", i % 5).into(),
                     (i as f64 * 0.25).into(),
                 ])
             })
@@ -1587,7 +1418,19 @@ mod tests {
             target_rows_per_segment: 100,
         })
         .unwrap();
+        wh
+    }
 
+    #[test]
+    fn oversized_group_domain_falls_back_to_the_row_loop() {
+        // Two 300-member attributes: the dense domain (300 × 300 =
+        // 90 000) exceeds MAX_DENSE_GROUPS, so the plan declines and
+        // the row loop answers the whole table.
+        let wh = wide_warehouse(vec![
+            DimensionDef::new("D1", vec!["A"]),
+            DimensionDef::new("D2", vec!["B"]),
+            DimensionDef::new("D3", vec!["C"]),
+        ]);
         let wide = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
         let (cube, stats) = Cube::build_with_stats(&wh, &wide).unwrap();
         assert_eq!(cube, row_loop(&wh, &wide));
@@ -1595,57 +1438,116 @@ mod tests {
             stats.morsels_executed, 0,
             "dense lanes must refuse 90k groups"
         );
+        assert_eq!(stats.segments_total, 0, "the row loop answered");
 
         let narrow = CubeSpec::measure(vec!["B"], Aggregate::Sum, "M");
         let (cube2, stats2) = Cube::build_with_stats(&wh, &narrow).unwrap();
         assert_eq!(cube2, row_loop(&wh, &narrow));
-        assert!(stats2.morsels_executed > 0, "150 groups fit dense lanes");
+        assert!(stats2.morsels_executed > 0, "300 groups fit dense lanes");
     }
 
     #[test]
-    fn same_dimension_axes_share_one_radix_slot() {
-        // Both axes live in one 300-tuple dimension (the paper model's
-        // shape: Gender and Age_Band share the personal dimension).
-        // Squaring the cardinality would blow MAX_DENSE_GROUPS; the
-        // shared radix slot keeps the dense domain at 300, so the
-        // vectorized path must run — and agree with the row loop.
-        let star = StarSchema::new(
-            FactDef::new("Facts", vec!["M"], vec![]),
-            vec![DimensionDef::new("D", vec!["A", "B"])],
-        )
-        .unwrap();
-        let schema = Schema::new(vec![
-            FieldDef::nullable("A", DataType::Text),
-            FieldDef::nullable("B", DataType::Text),
-            FieldDef::nullable("M", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Record> = (0..300)
-            .map(|i| {
-                Record::new(vec![
-                    format!("a{i}").into(),
-                    format!("b{i}").into(),
-                    (i as f64 * 0.25).into(),
-                ])
-            })
-            .collect();
-        let mut wh = Warehouse::load(
-            &LoadPlan::from_star(star),
-            &Table::from_rows(schema, rows).unwrap(),
-        )
-        .unwrap();
-        wh.compact_with(&warehouse::CompactionConfig {
-            target_rows_per_segment: 100,
-        })
-        .unwrap();
+    fn same_dimension_axes_compose_their_member_codes() {
+        // All three attributes live in one 300-tuple dimension (the
+        // paper model's shape: Gender and Age_Band share the personal
+        // dimension). Each axis contributes its own member count, so
+        // the kernels run while the member product fits (300 × 5) —
+        // a repeated axis included — and 300 × 300 goes to the row
+        // loop like any other oversized domain.
+        let wh = wide_warehouse(vec![DimensionDef::new("D", vec!["A", "B", "C"])]);
+        for axes in [vec!["A", "C"], vec!["C", "A", "C"]] {
+            let spec = CubeSpec::measure(axes, Aggregate::Sum, "M");
+            let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
+            assert_eq!(cube, row_loop(&wh, &spec));
+            assert_eq!(cube.n_cells(), 300);
+            assert!(stats.morsels_executed > 0, "{:?}: {stats:?}", spec.axes);
+        }
+        let square = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
+        let (cube, stats) = Cube::build_with_stats(&wh, &square).unwrap();
+        assert_eq!(cube, row_loop(&wh, &square));
+        assert_eq!(stats.segments_total, 0, "{stats:?}");
+    }
 
-        let spec = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
-        let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, row_loop(&wh, &spec));
-        assert!(
-            stats.morsels_executed > 0,
-            "same-dimension axes must stay on the kernel path: {stats:?}"
+    #[test]
+    fn planned_columns_are_exactly_what_the_spec_reads() {
+        let mut wh = banded_warehouse();
+        compact_small(&mut wh);
+        let planned = |spec: CubeSpec| SegmentedScan::plan(&wh, &spec).unwrap().unwrap().columns;
+        // Axis dimensions only: no measure, no other key column.
+        assert_eq!(
+            planned(CubeSpec::count(vec!["Gender", "Age_Band"])),
+            ColumnSet::empty().with_key("Personal")
         );
+        // Axis and filter dimensions, aggregated and filtered measure.
+        let filter = CubeFilter::all()
+            .equals("DiabetesStatus", "yes")
+            .measure_between("FBG", 0.0, 9.0);
+        assert_eq!(
+            planned(CubeSpec::count(vec!["Gender"]).with_filter(filter)),
+            ColumnSet::empty()
+                .with_key("Personal")
+                .with_key("Condition")
+                .with_measure("FBG")
+        );
+        let avg = CubeSpec::measure(vec!["DiabetesStatus"], Aggregate::Avg, "FBG");
+        let condition = ColumnSet::empty().with_key("Condition");
+        assert_eq!(planned(avg), condition.with_measure("FBG"));
+        // A degenerate column is fetched only for distinct counting.
+        assert_eq!(
+            planned(CubeSpec::distinct(vec!["Age_Band"], "PatientId")),
+            ColumnSet::empty()
+                .with_key("Personal")
+                .with_degenerate("PatientId")
+        );
+    }
+
+    /// A backend whose fetched segments carry keys past every
+    /// dimension table (the zone maps, recomputed, say so).
+    #[derive(Debug)]
+    struct ShiftedKeys(segstore::MemoryBackend);
+
+    impl segstore::SegmentBackend for ShiftedKeys {
+        fn put(&self, segment: Segment) -> Result<()> {
+            self.0.put(segment)
+        }
+        fn fetch(&self, id: u64, columns: &ColumnSet) -> Result<Arc<Segment>> {
+            let sealed = self.0.fetch(id, columns)?;
+            let mut keys = sealed.keys.clone();
+            for key in keys.iter_mut().flat_map(|(_, column)| column.iter_mut()) {
+                *key += 1000;
+            }
+            let (measures, degenerates) = (sealed.measures.clone(), sealed.degenerates.clone());
+            Segment::assemble(id, keys, measures, degenerates).map(Arc::new)
+        }
+        fn metas(&self) -> Result<Vec<SegmentMeta>> {
+            self.0.metas()
+        }
+        fn list(&self) -> Result<Vec<u64>> {
+            self.0.list()
+        }
+        fn remove(&self, id: u64) -> Result<()> {
+            self.0.remove(id)
+        }
+        fn kind(&self) -> &'static str {
+            "shifted"
+        }
+    }
+
+    #[test]
+    fn a_dangling_sealed_key_is_a_typed_error_not_a_miscounted_row() {
+        let mut wh = banded_warehouse();
+        wh.set_segment_backend(Arc::new(ShiftedKeys(segstore::MemoryBackend::new())))
+            .unwrap();
+        compact_small(&mut wh);
+        // Grouped, and merely filtered: both dimensions are checked.
+        let grouped = CubeSpec::count(vec!["Gender"]);
+        let filtered = CubeSpec::count(vec!["DiabetesStatus"])
+            .with_filter(CubeFilter::all().equals("Age_Band", "40-60"));
+        for (spec, dim) in [(grouped, "Personal"), (filtered, "Condition")] {
+            let err = Cube::build_with_stats(&wh, &spec).unwrap_err().to_string();
+            assert!(err.contains("dangling key"), "{err}");
+            assert!(err.contains(dim), "{err}");
+        }
     }
 
     #[test]

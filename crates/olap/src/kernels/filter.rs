@@ -10,9 +10,8 @@
 /// Packed membership table over a dictionary-coded key domain.
 ///
 /// A `KeyLut` answers "is surrogate key `k` in the filter set?" with a
-/// single shift-and-mask, replacing the `BTreeSet::contains` probe of
-/// the row-at-a-time path. Keys at or beyond the domain are never
-/// members.
+/// single shift-and-mask where a row-at-a-time scan would probe a
+/// `BTreeSet`. Keys at or beyond the domain are never members.
 ///
 /// ```
 /// use olap::kernels::KeyLut;

@@ -1,12 +1,11 @@
 //! Vectorized execution kernels: the branch-light columnar engine
 //! behind segmented cube builds.
 //!
-//! The scalar segment scan walks rows one at a time — per row it
-//! probes a `BTreeSet` for every attribute filter, allocates a
-//! `Vec<u32>` group key and rehashes it into a cell map. Where the
-//! group domain is small enough, these kernels replace that loop with
-//! three passes over dense column slices, each a tight loop over flat
-//! fixed-width arrays the optimiser can unroll and auto-vectorize:
+//! A row-at-a-time scan pays, per row, a set probe for every attribute
+//! filter, a group-key allocation and a hash into a cell map. Over
+//! sealed segments these kernels replace that loop with three passes
+//! over dense column slices, each a tight loop over flat fixed-width
+//! arrays the optimiser can unroll and auto-vectorize:
 //!
 //! 1. **Filter** ([`filter`]) — every predicate folds into a
 //!    [`SelectionBitmap`] (one bit per row): dictionary filters
@@ -14,10 +13,12 @@
 //!    compare-and-mask. The bitmap then yields a selection vector of
 //!    surviving row indices.
 //! 2. **Group** ([`group`]) — surviving rows are assigned dense group
-//!    ids by a [`GroupLayout`]: dictionary-coded surrogate keys
-//!    compose by mixed-radix arithmetic (`gid = k₀ + c₀·k₁ + …`), so
-//!    grouping is integer math, not hashing, whenever the coordinate
-//!    domain fits [`group::MAX_DENSE_GROUPS`].
+//!    ids by a [`GroupLayout`]: each axis maps the row's surrogate key
+//!    to its attribute's member code through a small table, and the
+//!    codes compose by mixed-radix arithmetic (`gid = c₀ + n₀·c₁ + …`),
+//!    so grouping is two gathers and integer math, not hashing. The
+//!    domain is the product of the axis attributes' member counts and
+//!    must fit [`group::MAX_DENSE_GROUPS`].
 //! 3. **Aggregate** ([`lanes`]) — one flat accumulator lane per
 //!    statistic (row count, valid count, sum, min, max, distinct
 //!    set), indexed by group id. Lanes finalize into the exact same
@@ -30,7 +31,7 @@
 //! between the passes stay cache-resident however large a segment is.
 //!
 //! The kernels are deliberately freestanding — they know nothing about
-//! warehouses or specs, only about slices, dictionaries and group
+//! warehouses or specs, only about slices, code tables and group
 //! domains — which is what makes them unit-testable and reusable for
 //! future workloads (the treatment-regimen batch jobs will group and
 //! aggregate the same way).

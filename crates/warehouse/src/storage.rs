@@ -22,6 +22,22 @@ pub struct DimensionTable {
     pub attributes: Vec<String>,
     tuples: Vec<Vec<Value>>,
     intern: HashMap<Vec<Value>, SurrogateKey>,
+    /// One per attribute, grown only where `tuples` grows.
+    members: Vec<AttributeMembers>,
+}
+
+/// The distinct values ("members") one attribute takes across the
+/// tuples, and which of them each tuple holds. Append-only: a code
+/// never changes once assigned, so clones, replicas and later epochs
+/// of a table agree on every code they share.
+#[derive(Debug, Clone, Default)]
+struct AttributeMembers {
+    /// Distinct values in first-seen order; a member's code is its
+    /// position here.
+    values: Vec<Value>,
+    index: HashMap<Value, u32>,
+    /// Surrogate key → member code.
+    codes: Vec<u32>,
 }
 
 impl DimensionTable {
@@ -29,6 +45,7 @@ impl DimensionTable {
     pub fn new(name: impl Into<String>, attributes: Vec<String>) -> Self {
         DimensionTable {
             name: name.into(),
+            members: vec![AttributeMembers::default(); attributes.len()],
             attributes,
             tuples: Vec::new(),
             intern: HashMap::new(),
@@ -49,6 +66,18 @@ impl DimensionTable {
             return Ok(*k);
         }
         let key = self.tuples.len() as SurrogateKey;
+        for (attribute, value) in self.members.iter_mut().zip(&tuple) {
+            let code = match attribute.index.get(value) {
+                Some(code) => *code,
+                None => {
+                    let code = attribute.values.len() as u32;
+                    attribute.index.insert(value.clone(), code);
+                    attribute.values.push(value.clone());
+                    code
+                }
+            };
+            attribute.codes.push(code);
+        }
         self.intern.insert(tuple.clone(), key);
         self.tuples.push(tuple);
         Ok(key)
@@ -59,24 +88,17 @@ impl DimensionTable {
         self.tuples.get(key as usize).map(Vec::as_slice)
     }
 
-    /// Value of one attribute in the tuple behind `key`.
-    pub fn attribute_value(&self, key: SurrogateKey, attribute: &str) -> Result<&Value> {
-        let idx = self
-            .attributes
-            .iter()
-            .position(|a| a == attribute)
-            .ok_or_else(|| {
-                Error::invalid(format!(
-                    "dimension `{}` has no attribute `{attribute}`",
-                    self.name
-                ))
-            })?;
-        self.tuples
-            .get(key as usize)
-            .and_then(|t| t.get(idx))
-            .ok_or_else(|| {
-                Error::invalid(format!("dimension `{}` key {key} out of range", self.name))
-            })
+    /// The distinct values of attribute `attribute` (a tuple
+    /// position), in first-seen order. Grouping on an attribute groups
+    /// on positions in this list, not on surrogate keys.
+    pub fn members(&self, attribute: usize) -> Option<&[Value]> {
+        self.members.get(attribute).map(|m| m.values.as_slice())
+    }
+
+    /// Surrogate key → member code of attribute `attribute`:
+    /// `members(a)[codes(a)[key]]` is `tuple(key)[a]`, for every key.
+    pub fn codes(&self, attribute: usize) -> Option<&[u32]> {
+        self.members.get(attribute).map(|m| m.codes.as_slice())
     }
 
     /// Position of an attribute within tuples.
@@ -266,6 +288,47 @@ impl FactTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// After any intern sequence `members(a)[codes(a)[k]]` is
+        /// `tuple(k)[a]` for every key and attribute, no member is
+        /// listed twice, and what an earlier batch was assigned is
+        /// unchanged by a later one. Small pools, so tuples and
+        /// members repeat; `Int(2)` and `Float(2.0)` are one member.
+        #[test]
+        fn member_codes_resolve_and_never_change(
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0..5i64, 0..4i64, 0..2u8), 0..30),
+                2,
+            ),
+        ) {
+            let mut d = DimensionTable::new("D", vec!["A".into(), "B".into()]);
+            let mut earlier: Option<DimensionTable> = None;
+            for batch in batches {
+                for (a, b, float) in batch {
+                    let a = if float == 0 { Value::Int(a) } else { Value::Float(a as f64) };
+                    d.intern(vec![a, Value::from(format!("b{b}"))]).unwrap();
+                }
+                for a in 0..2 {
+                    let (members, codes) = (d.members(a).unwrap(), d.codes(a).unwrap());
+                    prop_assert_eq!(codes.len(), d.len());
+                    for (k, &code) in codes.iter().enumerate() {
+                        prop_assert_eq!(&members[code as usize], &d.tuple(k as u32).unwrap()[a]);
+                    }
+                    let distinct: std::collections::HashSet<&Value> = members.iter().collect();
+                    prop_assert_eq!(distinct.len(), members.len());
+                    if let Some(old) = &earlier {
+                        let (m0, c0) = (old.members(a).unwrap(), old.codes(a).unwrap());
+                        prop_assert_eq!(&members[..m0.len()], m0);
+                        prop_assert_eq!(&codes[..c0.len()], c0);
+                    }
+                }
+                earlier = Some(d.clone());
+            }
+            prop_assert!(d.members(2).is_none() && d.codes(2).is_none());
+        }
+    }
 
     #[test]
     fn intern_deduplicates_tuples() {
@@ -282,18 +345,6 @@ mod tests {
     fn intern_checks_arity() {
         let mut d = DimensionTable::new("Personal", vec!["Gender".into()]);
         assert!(d.intern(vec!["F".into(), "x".into()]).is_err());
-    }
-
-    #[test]
-    fn attribute_value_resolves_by_key() {
-        let mut d = DimensionTable::new("Personal", vec!["Gender".into(), "Age_Band".into()]);
-        let k = d.intern(vec!["F".into(), "60-80".into()]).unwrap();
-        assert_eq!(
-            d.attribute_value(k, "Age_Band").unwrap(),
-            &Value::from("60-80")
-        );
-        assert!(d.attribute_value(k, "Nope").is_err());
-        assert!(d.attribute_value(99, "Gender").is_err());
     }
 
     #[test]

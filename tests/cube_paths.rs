@@ -1,21 +1,22 @@
 //! Which path answered — and that every path answers the same.
 //!
 //! `Cube::build_with_stats` takes no options: the warehouse's sealed
-//! state and the spec's group domain select one of three paths, and
-//! [`ScanStats`] says which one ran. This suite runs the eight query
-//! shapes of the benchmark's scan deck over a small DiScRi warehouse
-//! in four states, checks every answer cell for cell against the
-//! naive oracle, and pins the selector of each path:
+//! state and the spec select one of two paths, and [`ScanStats`] says
+//! which one ran. This suite runs the eight query shapes of the
+//! benchmark's scan deck over a small DiScRi warehouse in four states,
+//! checks every answer cell for cell against the naive oracle, and
+//! pins the selector of each path:
 //!
 //! * **row loop** over the whole fact table — nothing is sealed, or
 //!   the spec reads a dimension the sealed segments do not carry;
-//! * **kernels** over the zone-map survivors — the dense group domain
-//!   fits `MAX_DENSE_GROUPS`;
-//! * **scalar segment hash** — sealed, but the domain does not fit
-//!   (two mid-sized dimensions: the paper's Fig. 6 band × band shape).
+//! * **kernels** over the zone-map survivors — everything else: groups
+//!   are composed from the axis attributes' member codes, so every
+//!   deck shape (the paper's Fig. 6 band × band included) fits the
+//!   dense lanes.
 //!
 //! Behind sealed segments the mutable tail always goes through the row
-//! loop, which `rows_scanned` shows.
+//! loop, which `rows_scanned` shows. A randomised deck over all thirty
+//! star attributes then checks the kernels against the same oracle.
 
 #[path = "common/oracle.rs"]
 mod oracle;
@@ -23,6 +24,7 @@ mod oracle;
 use clinical_types::{DataType, FieldDef, Record, Table, Value};
 use olap::{Aggregate, Cube, CubeFilter, CubeSpec, PivotTable, ScanStats};
 use oracle::{Agg, Cells, Query};
+use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 use warehouse::{CompactionConfig, LoadPlan, Warehouse};
@@ -31,23 +33,20 @@ use warehouse::{CompactionConfig, LoadPlan, Warehouse};
 enum Path {
     RowLoop,
     Kernels,
-    SegmentHash,
 }
 
 /// The path, read off the statistics alone.
 fn path_of(stats: &ScanStats) -> Path {
     if stats.segments_total == 0 {
         Path::RowLoop
-    } else if stats.morsels_executed > 0 {
-        Path::Kernels
     } else {
-        Path::SegmentHash
+        Path::Kernels
     }
 }
 
 /// ~1 300 transformed attendances: enough distinct patients that the
-/// personal × medical-condition key domain (563 × 132) overflows the
-/// dense cap while every single dimension stays far inside it.
+/// personal × medical-condition *key* domain (563 × 132) would
+/// overflow the dense cap, which the member-code domain never nears.
 fn table() -> &'static Table {
     static TABLE: OnceLock<Table> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -65,6 +64,29 @@ fn rows_of(table: &Table, rows: std::ops::Range<usize>) -> Table {
 
 fn load(table: &Table) -> Warehouse {
     Warehouse::load(&LoadPlan::discri_default(), table).unwrap()
+}
+
+/// `table` with `value` in `column` of every row in `rows`.
+fn with_value(table: &Table, rows: std::ops::Range<usize>, column: &str, value: &str) -> Table {
+    let c = table.schema().index_of(column).unwrap();
+    let records = table.rows().iter().enumerate().map(|(i, row)| {
+        let mut values = row.values().to_vec();
+        if rows.contains(&i) {
+            values[c] = value.into();
+        }
+        Record::new(values)
+    });
+    Table::from_rows(table.schema().clone(), records.collect()).unwrap()
+}
+
+/// The first `len - 200` rows sealed, the rest appended behind them.
+fn sealed_with_tail(table: &Table) -> Warehouse {
+    let cut = table.len() - 200;
+    let mut wh = load(&rows_of(table, 0..cut));
+    seal(&mut wh);
+    wh.append(&rows_of(table, cut..table.len())).unwrap();
+    assert_eq!(wh.segments().watermark(), cut);
+    wh
 }
 
 fn seal(wh: &mut Warehouse) {
@@ -207,19 +229,15 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     }
     seen.extend(unsealed.values().map(path_of));
 
-    // Everything sealed: the group domain picks between the kernels
-    // and the scalar segment hash, and zone maps prune.
+    // Everything sealed: the kernels answer every shape, and zone
+    // maps prune.
     let mut wh = load(table);
     seal(&mut wh);
     let segments = wh.segments().len() as u64;
     let sealed = run_deck(&wh, table, "sealed");
     for (name, stats) in &sealed {
-        let expected = if *name == "fig6_htyears" {
-            Path::SegmentHash
-        } else {
-            Path::Kernels
-        };
-        assert_eq!(path_of(stats), expected, "{name}: {stats:?}");
+        assert_eq!(path_of(stats), Path::Kernels, "{name}: {stats:?}");
+        assert!(stats.morsels_executed > 0, "{name}: {stats:?}");
         assert_eq!(stats.segments_total, segments);
         if *name == "selective" {
             assert!(stats.segments_pruned > 0, "zone maps prune: {stats:?}");
@@ -254,16 +272,13 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     assert_eq!(path_of(&stats), Path::RowLoop, "{stats:?}");
     assert_eq!(stats.rows_scanned, n);
 
-    // A sealed prefix and an appended tail: the same selectors pick
-    // the path over the segments, and the tail's rows are on top.
-    let cut = table.len() - 200;
-    let mut wh = load(&rows_of(table, 0..cut));
-    seal(&mut wh);
-    wh.append(&rows_of(table, cut..table.len())).unwrap();
-    assert_eq!(wh.segments().watermark(), cut);
+    // A sealed prefix and an appended tail: the kernels run over the
+    // segments, and the tail's rows are on top.
+    let wh = sealed_with_tail(table);
     let tailed = run_deck(&wh, table, "sealed + tail");
     for (name, stats) in &tailed {
-        assert_ne!(path_of(stats), Path::RowLoop, "{name}: {stats:?}");
+        assert_eq!(path_of(stats), Path::Kernels, "{name}: {stats:?}");
+        assert!(stats.morsels_executed > 0, "{name}: {stats:?}");
         assert_eq!(stats.segments_total, wh.segments().len() as u64);
         if *name == "selective" {
             assert!(stats.segments_pruned > 0, "the tail does not stop pruning");
@@ -274,9 +289,91 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     }
     seen.extend(tailed.values().map(path_of));
 
+    // A member no sealed row has: every tail row's activity is one the
+    // sealed rows never saw, so those rows intern new tuples and a new
+    // member. Grouped on, the sealed part still runs morsels and the
+    // new member's cells come from the tail; filtered on, the zone
+    // maps prune every segment and the tail alone answers.
+    let n_rows = table.len();
+    let novel = with_value(table, n_rows - 200..n_rows, "ActivityType", "curling");
+    let wh = sealed_with_tail(&novel);
+    let state = "sealed + novel tail";
+    let by_activity = shape("by_activity", ["ActivityType", "Gender"], Agg::Count);
+    let stats = run(&wh, &novel, &by_activity, state);
+    assert_eq!(path_of(&stats), Path::Kernels, "{stats:?}");
+    assert!(stats.morsels_executed > 0, "{stats:?}");
+    assert_eq!(stats.rows_scanned, n);
+    let only_tail = shape("only_tail", ["Age_Band", "Gender"], Agg::Avg("FBG"))
+        .equals("ActivityType", "curling");
+    let stats = run(&wh, &novel, &only_tail, state);
+    assert_eq!(path_of(&stats), Path::Kernels, "{stats:?}");
+    assert_eq!(stats.segments_pruned, stats.segments_total, "{stats:?}");
+    assert_eq!(stats.morsels_executed, 0, "nothing sealed survives");
+    assert_eq!(stats.rows_scanned, 200, "the tail only");
+
     assert_eq!(
         seen,
-        BTreeSet::from([Path::RowLoop, Path::Kernels, Path::SegmentHash]),
-        "the matrix must reach all three paths"
+        BTreeSet::from([Path::RowLoop, Path::Kernels]),
+        "the matrix must reach both paths"
     );
+}
+
+/// Numeric columns the randomised deck aggregates and filters on.
+const MEASURES: [&str; 4] = ["FBG", "HbA1c", "BMI", "Age"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random specs on the sealed + tail warehouse: one to three axes
+    /// drawn with replacement from every attribute of the star (so
+    /// same-dimension pairs and repeated axes occur), an optional
+    /// `equals` on a value some row really has, an optional measure
+    /// range, any aggregate — cell for cell against the oracle, always
+    /// on the kernels.
+    #[test]
+    fn random_specs_run_on_the_kernels_and_match_the_oracle(
+        axes in proptest::collection::vec(0..30usize, 1..4),
+        equals in proptest::option::of((0..30usize, 0..1_000_000usize)),
+        between in proptest::option::of((0..4usize, 0.0..1.0f64, 0.0..1.0f64)),
+        agg in (0..6usize, 0..4usize),
+    ) {
+        static WAREHOUSE: OnceLock<Warehouse> = OnceLock::new();
+        let table = table();
+        let wh = WAREHOUSE.get_or_init(|| sealed_with_tail(table));
+        let attributes: Vec<&str> = (wh.star().dimensions.iter())
+            .flat_map(|d| d.attributes.iter().map(String::as_str))
+            .collect();
+        prop_assert_eq!(attributes.len(), 30);
+        let column = |name: &str| table.schema().index_of(name).unwrap();
+
+        let mut query = Query {
+            axes: axes.iter().map(|&a| attributes[a]).collect(),
+            equals: vec![],
+            between: vec![],
+            agg: match agg {
+                (0, _) => Agg::Count,
+                (1, _) => Agg::Distinct("PatientId"),
+                (2, m) => Agg::Sum(MEASURES[m]),
+                (3, m) => Agg::Avg(MEASURES[m]),
+                (4, m) => Agg::Min(MEASURES[m]),
+                (_, m) => Agg::Max(MEASURES[m]),
+            },
+        };
+        if let Some((a, row)) = equals {
+            let row = &table.rows()[row % table.len()];
+            query.equals.push((attributes[a], row.values()[column(attributes[a])].clone()));
+        }
+        if let Some((m, x, y)) = between {
+            // A sub-range of the measure's observed span.
+            let values = table.rows().iter().filter_map(|r| r.values()[column(MEASURES[m])].as_f64());
+            let (min, max) = values.fold((f64::MAX, f64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            let at = |t: f64| min + t * (max - min);
+            query.between.push((MEASURES[m], at(x.min(y)), at(x.max(y))));
+        }
+
+        let what = format!("{query:?}");
+        let (cube, stats) = Cube::build_with_stats(wh, &spec_of(&query)).unwrap();
+        oracle::assert_same_cells(&cube_cells(&cube), &oracle::answer(table, &query), &what);
+        prop_assert_eq!(path_of(&stats), Path::Kernels, "{}: {:?}", what, stats);
+    }
 }

@@ -419,6 +419,8 @@ proptest! {
 /// converges to the primary.
 #[test]
 fn durable_log_with_torn_tail_still_converges() {
+    // Siblings arm `replica.apply`; this replica must not trip on it.
+    let _lock = fault::test_support::fault_lock();
     let path = std::env::temp_dir().join(format!("ddgms-chaos-{}-torn.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let seed_state = small_warehouse();
