@@ -107,7 +107,8 @@ pub struct CleaningReport {
     pub rows_out: usize,
     /// Rows dropped because a required key was missing.
     pub rows_dropped: usize,
-    /// Cells nulled because the value fell outside its plausible range.
+    /// Cells nulled because the value fell outside its plausible range
+    /// or was not finite (NaN, ±infinity).
     pub cells_nulled: usize,
     /// Cells nulled by the generic negativity rule (numeric panel
     /// attributes without an explicit range).
@@ -134,6 +135,17 @@ impl Cleaner {
 
     /// Clean a table, producing the cleaned copy and a report.
     pub fn clean(&self, table: &Table) -> Result<(Table, CleaningReport)> {
+        self.clean_with_spare(table, 0)
+    }
+
+    /// [`Cleaner::clean`], leaving room in every cleaned record for
+    /// `spare` more values, so a caller that appends derived cells
+    /// does not reallocate the row.
+    pub(crate) fn clean_with_spare(
+        &self,
+        table: &Table,
+        spare: usize,
+    ) -> Result<(Table, CleaningReport)> {
         let schema = table.schema().clone();
         // Precompute per-column handling.
         enum Check {
@@ -174,9 +186,17 @@ impl Cleaner {
                 report.rows_dropped += 1;
                 continue;
             }
-            let mut values = row.values().to_vec();
+            let mut values = Vec::with_capacity(row.len() + spare);
+            values.extend_from_slice(row.values());
             for (i, v) in values.iter_mut().enumerate() {
                 let Some(x) = v.as_f64() else { continue };
+                // A NaN or infinity passes every range comparison; no
+                // measurement is one.
+                if !x.is_finite() {
+                    *v = Value::Null;
+                    report.cells_nulled += 1;
+                    continue;
+                }
                 match checks[i] {
                     Check::Range(lo, hi) => {
                         if x < lo || x > hi {
@@ -234,6 +254,22 @@ mod tests {
         assert!(clean.value(0, "FBG").unwrap().is_null());
         assert!(clean.value(1, "FBG").unwrap().is_null());
         assert_eq!(clean.value(2, "FBG").unwrap().as_f64(), Some(5.5));
+    }
+
+    #[test]
+    fn non_finite_values_are_nulled_whatever_the_rule() {
+        let t = table_with(vec![vec![
+            1.into(),
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+            "a".into(),
+        ]]);
+        let mut cleaner = Cleaner::new(rules());
+        cleaner.generic_nonnegative = false;
+        let (clean, report) = cleaner.clean(&t).unwrap();
+        assert_eq!(report.cells_nulled, 2);
+        assert!(clean.value(0, "FBG").unwrap().is_null());
+        assert!(clean.value(0, "Marker").unwrap().is_null());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Supervised bottom-up discretisation: ChiMerge (Kerber, 1992).
 //!
 //! The canonical bottom-up method from the survey the paper cites
-//! [17]: start with one interval per distinct value and repeatedly
+//! \[17\]: start with one interval per distinct value and repeatedly
 //! merge the adjacent pair whose class distributions are most similar
 //! (lowest chi-squared statistic), until every remaining adjacent pair
 //! differs significantly or a bin budget is reached.

@@ -4,7 +4,7 @@ use super::{Bins, Discretiser};
 use clinical_types::{Error, Result};
 
 /// Splits the observed value range into `k` intervals of equal width.
-/// The simplest of the top-down methods surveyed in [17]; fast, but
+/// The simplest of the top-down methods surveyed in \[17\]; fast, but
 /// sensitive to outliers (one extreme value stretches every bin).
 #[derive(Debug, Clone)]
 pub struct EqualWidth {

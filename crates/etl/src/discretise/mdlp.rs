@@ -1,7 +1,7 @@
 //! Supervised top-down discretisation: Fayyad–Irani entropy
 //! partitioning with the MDL stopping criterion ("MDLP").
 //!
-//! The canonical top-down method from the survey the paper cites [17]:
+//! The canonical top-down method from the survey the paper cites \[17\]:
 //! recursively choose the cut point that minimises class-entropy of
 //! the two sides, and stop when the information gain no longer pays
 //! for the cost of encoding the cut (the Minimum Description Length

@@ -4,7 +4,7 @@
 //! discrete ranges before aggregation and analysis. Where a clinician
 //! supplies a scheme (the paper's Table I) it is used directly
 //! ([`clinical`]); otherwise an algorithmic method is chosen — the
-//! paper cites Kotsiantis & Kanellopoulos [17], from which we
+//! paper cites Kotsiantis & Kanellopoulos \[17\], from which we
 //! implement two unsupervised top-down methods ([`equal_width`],
 //! [`equal_frequency`]), one supervised top-down method
 //! ([`mdlp`], Fayyad–Irani entropy partitioning) and one supervised
@@ -22,7 +22,7 @@ pub mod equal_frequency;
 pub mod equal_width;
 pub mod mdlp;
 
-use clinical_types::{DataType, Error, FieldDef, Record, Result, Table, Value};
+use clinical_types::{Error, Result};
 
 /// A fitted discretisation: `edges.len() + 1` intervals.
 ///
@@ -128,27 +128,6 @@ pub trait Discretiser {
     fn fit(&self, values: &[f64], classes: Option<&[usize]>) -> Result<Bins>;
 }
 
-/// Append a discretised text column `new_name` derived from numeric
-/// column `src` using `bins`. Null or non-numeric source cells yield
-/// null band cells. This is the "duplicate the attribute" pattern of
-/// §V.A: the continuous column is retained.
-pub fn append_band_column(table: &Table, src: &str, new_name: &str, bins: &Bins) -> Result<Table> {
-    let src_idx = table.schema().index_of(src)?;
-    let mut schema = table.schema().clone();
-    schema.push(FieldDef::nullable(new_name, DataType::Text))?;
-    let mut out = Table::new(schema);
-    for row in table.rows() {
-        let mut values = row.values().to_vec();
-        let band = match values[src_idx].as_f64() {
-            Some(x) => Value::Text(bins.label_of(x).to_string()),
-            None => Value::Null,
-        };
-        values.push(band);
-        out.push_unchecked(Record::new(values));
-    }
-    Ok(out)
-}
-
 /// Shared helper for the supervised methods: sorted `(value, class)`
 /// pairs with NaNs rejected.
 pub(crate) fn sorted_pairs(values: &[f64], classes: &[usize]) -> Result<Vec<(f64, usize)>> {
@@ -237,40 +216,6 @@ mod tests {
         assert_eq!(entropy(&[10, 0]), 0.0);
         assert!((entropy(&[5, 5]) - 1.0).abs() < 1e-12);
         assert!((entropy(&[1, 1, 1, 1]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn append_band_column_keeps_continuous_form() {
-        use clinical_types::{FieldDef, Schema};
-        let schema = Schema::new(vec![FieldDef::nullable("FBG", DataType::Float)]).unwrap();
-        let table = Table::from_rows(
-            schema,
-            vec![
-                Record::new(vec![Value::Float(5.0)]),
-                Record::new(vec![Value::Null]),
-                Record::new(vec![Value::Float(8.2)]),
-            ],
-        )
-        .unwrap();
-        let bins = Bins::with_labels(
-            vec![5.5, 6.1, 7.0],
-            vec![
-                "very good".into(),
-                "high".into(),
-                "preDiabetic".into(),
-                "Diabetic".into(),
-            ],
-        )
-        .unwrap();
-        let out = append_band_column(&table, "FBG", "FBG_Band", &bins).unwrap();
-        assert_eq!(out.schema().len(), 2);
-        assert_eq!(out.value(0, "FBG").unwrap().as_f64(), Some(5.0));
-        assert_eq!(
-            out.value(0, "FBG_Band").unwrap().as_str(),
-            Some("very good")
-        );
-        assert!(out.value(1, "FBG_Band").unwrap().is_null());
-        assert_eq!(out.value(2, "FBG_Band").unwrap().as_str(), Some("Diabetic"));
     }
 
     proptest! {

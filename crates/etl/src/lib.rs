@@ -14,9 +14,9 @@
 //!   ranges: clinician-supplied schemes (the paper's Table I) where
 //!   available, otherwise algorithmic top-down (equal-width,
 //!   entropy/MDLP) or bottom-up (ChiMerge) methods per Kotsiantis &
-//!   Kanellopoulos [17].
+//!   Kanellopoulos \[17\].
 //! * [`temporal`] — temporal abstraction: qualitative state and trend
-//!   descriptions derived from time-stamped measurements [18].
+//!   descriptions derived from time-stamped measurements \[18\].
 //! * [`cardinality`] — visit-level abstraction distinguishing repeat
 //!   attendances of the same patient.
 //! * [`pipeline`] — the composed transformation applied before
@@ -25,16 +25,14 @@
 pub mod cardinality;
 pub mod clean;
 pub mod discretise;
-pub mod impute;
 pub mod pipeline;
 pub mod temporal;
 
-pub use cardinality::{derive_cardinality, CardinalityProfile};
+pub use cardinality::CardinalityProfile;
 pub use clean::{Cleaner, CleaningReport, CleaningRules};
 pub use discretise::{
     chimerge::ChiMerge, clinical::table1_schemes, clinical::ClinicalScheme,
     equal_frequency::EqualFrequency, equal_width::EqualWidth, mdlp::Mdlp, Bins, Discretiser,
 };
-pub use impute::{ImputeReport, ImputeStrategy, Imputer};
 pub use pipeline::{PipelineReport, TransformPipeline};
 pub use temporal::{abstract_trends, StateAbstraction, Trend, TrendAbstraction};

@@ -5,15 +5,26 @@
 //! abstraction. The output table carries both the original continuous
 //! attributes and the derived band/trend/cardinality columns, ready
 //! for the warehouse loader.
+//!
+//! The table is materialised once. Cleaning makes the one copy of the
+//! raw rows; every derived column is then computed whole, as a vector
+//! read from the cleaned rows (a band as `Bins::assign` codes into its
+//! scheme's labels). The cardinality columns and every trend column
+//! walk one shared `(PatientId, TestDate)` visit order. The output is
+//! built at the end by moving each cleaned record and appending its
+//! derived cells in place. A stage names its source through the schema
+//! grown so far, so it sees the columns earlier stages derived exactly
+//! as if they were already appended.
 
-use crate::cardinality::{derive_cardinality, CardinalityProfile};
+use crate::cardinality::{CardinalityProfile, VisitOrder};
 use crate::clean::{Cleaner, CleaningReport, CleaningRules};
 use crate::discretise::clinical::{age_subgroup_scheme, table1_schemes, ClinicalScheme};
 use crate::discretise::equal_frequency::EqualFrequency;
 use crate::discretise::mdlp::Mdlp;
-use crate::discretise::{append_band_column, Discretiser};
+use crate::discretise::{Bins, Discretiser};
 use crate::temporal::step_labels;
-use clinical_types::{DataType, Error, FieldDef, Record, Result, Table, Value};
+use clinical_types::{DataType, FieldDef, Record, Result, Schema, Table, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// How a derived band column was produced.
@@ -28,7 +39,7 @@ pub enum BandSource {
 }
 
 /// Report of one pipeline run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Cleaning counters.
     pub cleaning: CleaningReport,
@@ -106,16 +117,42 @@ impl TransformPipeline {
         let mut run_span = obs::span("etl.pipeline");
         run_span.record("rows_in", raw.len());
 
-        // 1. Clean.
-        let (table, cleaning) = {
+        // 1. Clean: the one copy of the raw rows, with room for every
+        //    column a later stage may append — three cardinality
+        //    columns, `Age_SubGroup`, one per configured band or trend.
+        let (cleaned, cleaning) = {
             let _stage = obs::span("etl.clean");
-            Cleaner::new(self.rules.clone()).clean(raw)?
+            let spare =
+                4 + self.schemes.len() + self.algorithmic.len() + self.trend_attributes.len();
+            Cleaner::new(self.rules.clone()).clean_with_spare(raw, spare)?
         };
+        // `Staged::finish` moves these records; nothing else copies one.
+        run_span.record("rows_copied", cleaned.len());
+        let mut table = Staged::new(cleaned);
 
-        // 2. Cardinality.
-        let (mut table, cardinality) = {
+        // 2. Cardinality, over the visit order the trends reuse.
+        let (visits, cardinality) = {
             let _stage = obs::span("etl.cardinality");
-            derive_cardinality(&table, "PatientId", "TestDate")?
+            let visits = VisitOrder::new(&table.cleaned, "PatientId", "TestDate")?;
+            let (visit_no, visit_count) = visits.visit_numbers();
+            let kind = visit_no
+                .iter()
+                .map(|&n| if n == 1 { "first" } else { "return" })
+                .collect();
+            table.push(
+                FieldDef::required("DerivedVisitNo", DataType::Int),
+                Column::Int(visit_no),
+            )?;
+            table.push(
+                FieldDef::required("PatientVisitCount", DataType::Int),
+                Column::Int(visit_count),
+            )?;
+            table.push(
+                FieldDef::required("VisitKind", DataType::Text),
+                Column::Text(kind),
+            )?;
+            let profile = visits.profile();
+            (visits, profile)
         };
 
         // 3. Clinical schemes (Table I precedence), plus the age
@@ -124,16 +161,15 @@ impl TransformPipeline {
         {
             let _stage = obs::span("etl.clinical_bands");
             for scheme in &self.schemes {
-                if !table.schema().contains(&scheme.attribute) {
+                if !table.schema.contains(&scheme.attribute) {
                     continue;
                 }
                 let col = format!("{}_Band", scheme.attribute);
-                table = append_band_column(&table, &scheme.attribute, &col, &scheme.bins)?;
+                table.push_band(&scheme.attribute, &col, scheme.bins.clone())?;
                 bands.push((col, scheme.attribute.clone(), BandSource::Clinical));
             }
-            if table.schema().contains("Age") && !table.schema().contains("Age_SubGroup") {
-                let fine = age_subgroup_scheme();
-                table = append_band_column(&table, "Age", "Age_SubGroup", &fine.bins)?;
+            if table.schema.contains("Age") && !table.schema.contains("Age_SubGroup") {
+                table.push_band("Age", "Age_SubGroup", age_subgroup_scheme().bins)?;
                 bands.push(("Age_SubGroup".into(), "Age".into(), BandSource::Clinical));
             }
         }
@@ -143,14 +179,14 @@ impl TransformPipeline {
             let _stage = obs::span("etl.algorithmic_bands");
             let classes = self.class_labels(&table)?;
             for attr in &self.algorithmic {
-                if !table.schema().contains(attr) {
+                if !table.schema.contains(attr) {
                     continue;
                 }
                 let col = format!("{attr}_Band");
-                if table.schema().contains(&col) {
+                if table.schema.contains(&col) {
                     continue; // clinical scheme already produced it
                 }
-                let (values, value_classes) = self.numeric_with_classes(&table, attr, &classes)?;
+                let (values, value_classes) = numeric_with_classes(&table, attr, &classes)?;
                 if values.is_empty() {
                     continue;
                 }
@@ -161,7 +197,7 @@ impl TransformPipeline {
                         BandSource::EqualFrequency,
                     ),
                 };
-                table = append_band_column(&table, attr, &col, &bins)?;
+                table.push_band(attr, &col, bins)?;
                 bands.push((col, attr.clone(), source));
             }
         }
@@ -171,15 +207,27 @@ impl TransformPipeline {
         {
             let _stage = obs::span("etl.trends");
             for attr in &self.trend_attributes {
-                if !table.schema().contains(attr) {
+                if !table.schema.contains(attr) {
                     continue;
                 }
+                let values: Vec<Option<f64>> = table.column(attr)?.map(|v| v.as_f64()).collect();
+                let mut labels = vec!["unknown"; values.len()];
+                for rows in visits.patients() {
+                    let series: Vec<Option<f64>> = rows.iter().map(|&i| values[i]).collect();
+                    for (&i, label) in rows.iter().zip(step_labels(&series, self.trend_tolerance)) {
+                        labels[i] = label;
+                    }
+                }
                 let col = format!("{attr}_Trend");
-                table = self.append_trend_column(&table, attr, &col)?;
+                table.push(
+                    FieldDef::nullable(&col, DataType::Text),
+                    Column::Text(labels),
+                )?;
                 trends.push((col, attr.clone()));
             }
         }
 
+        let table = table.finish();
         run_span.record("rows_out", table.len());
         run_span.record("bands", bands.len());
         Ok((
@@ -195,17 +243,17 @@ impl TransformPipeline {
 
     /// Class labels per row from the class column, if configured and
     /// present. Text categories are interned to dense indices.
-    fn class_labels(&self, table: &Table) -> Result<Option<Vec<Option<usize>>>> {
+    fn class_labels(&self, table: &Staged) -> Result<Option<Vec<Option<usize>>>> {
         let Some(name) = &self.class_column else {
             return Ok(None);
         };
-        if !table.schema().contains(name) {
+        if !table.schema.contains(name) {
             return Ok(None);
         }
         let mut intern: HashMap<String, usize> = HashMap::new();
-        let mut out = Vec::with_capacity(table.len());
+        let mut out = Vec::with_capacity(table.cleaned.len());
         for v in table.column(name)? {
-            out.push(match v {
+            out.push(match &*v {
                 Value::Null => None,
                 other => {
                     let key = other.to_string();
@@ -216,69 +264,120 @@ impl TransformPipeline {
         }
         Ok(Some(out))
     }
+}
 
-    /// Extract the non-null numeric values of `attr` and, when class
-    /// labels exist, the aligned class vector (rows missing either the
-    /// value or the class are skipped).
-    fn numeric_with_classes(
-        &self,
-        table: &Table,
-        attr: &str,
-        classes: &Option<Vec<Option<usize>>>,
-    ) -> Result<(Vec<f64>, Option<Vec<usize>>)> {
-        let idx = table.schema().index_of(attr)?;
-        match classes {
-            Some(cls) => {
-                let mut values = Vec::new();
-                let mut labels = Vec::new();
-                for (row, c) in table.rows().iter().zip(cls) {
-                    if let (Some(x), Some(c)) = (row[idx].as_f64(), c) {
-                        values.push(x);
-                        labels.push(*c);
-                    }
+/// Extract the non-null numeric values of `attr` and, when class
+/// labels exist, the aligned class vector (rows missing either the
+/// value or the class are skipped).
+fn numeric_with_classes(
+    table: &Staged,
+    attr: &str,
+    classes: &Option<Vec<Option<usize>>>,
+) -> Result<(Vec<f64>, Option<Vec<usize>>)> {
+    let column = table.column(attr)?;
+    match classes {
+        Some(cls) => {
+            let mut values = Vec::new();
+            let mut labels = Vec::new();
+            for (v, c) in column.zip(cls) {
+                if let (Some(x), Some(c)) = (v.as_f64(), c) {
+                    values.push(x);
+                    labels.push(*c);
                 }
-                Ok((values, Some(labels)))
             }
-            None => Ok((table.numeric_column(attr)?, None)),
+            Ok((values, Some(labels)))
+        }
+        None => Ok((column.filter_map(|v| v.as_f64()).collect(), None)),
+    }
+}
+
+/// A derived column, computed whole before the output is built.
+enum Column {
+    Int(Vec<i64>),
+    Text(Vec<&'static str>),
+    /// `Bins::assign` codes into `bins`' labels; `None` is a null cell
+    /// (a missing or non-numeric source value).
+    Band {
+        codes: Vec<Option<usize>>,
+        bins: Bins,
+    },
+}
+
+impl Column {
+    fn value(&self, row: usize) -> Value {
+        match self {
+            Column::Int(v) => Value::Int(v[row]),
+            Column::Text(v) => Value::Text(v[row].to_string()),
+            Column::Band { codes, bins } => match codes[row] {
+                Some(code) => Value::Text(bins.labels()[code].clone()),
+                None => Value::Null,
+            },
+        }
+    }
+}
+
+/// The output table before it is built: the cleaned rows, the columns
+/// derived from them so far, and the schema that names both.
+struct Staged {
+    cleaned: Table,
+    /// The cleaned schema followed by one field per derived column.
+    schema: Schema,
+    derived: Vec<Column>,
+}
+
+impl Staged {
+    fn new(cleaned: Table) -> Self {
+        Staged {
+            schema: cleaned.schema().clone(),
+            cleaned,
+            derived: Vec::new(),
         }
     }
 
-    /// Append a per-visit trend column for `attr`, computed per
-    /// patient in visit order.
-    fn append_trend_column(&self, table: &Table, attr: &str, col: &str) -> Result<Table> {
-        let pid_idx = table.schema().index_of("PatientId")?;
-        let date_idx = table.schema().index_of("TestDate")?;
-        let attr_idx = table.schema().index_of(attr)?;
+    /// Append a derived column; errors if its name is taken.
+    fn push(&mut self, field: FieldDef, column: Column) -> Result<()> {
+        self.schema.push(field)?;
+        self.derived.push(column);
+        Ok(())
+    }
 
-        // Visit order per patient.
-        let mut per_patient: HashMap<i64, Vec<usize>> = HashMap::new();
-        for (i, row) in table.rows().iter().enumerate() {
-            let pid = row[pid_idx]
-                .as_i64()
-                .ok_or_else(|| Error::invalid("PatientId must be integer"))?;
-            per_patient.entry(pid).or_default().push(i);
-        }
-        let mut labels: Vec<&'static str> = vec!["unknown"; table.len()];
-        for rows in per_patient.values_mut() {
-            rows.sort_by_key(|&i| table.rows()[i][date_idx].as_date());
-            let series: Vec<Option<f64>> = rows
-                .iter()
-                .map(|&i| table.rows()[i][attr_idx].as_f64())
-                .collect();
-            for (&i, label) in rows.iter().zip(step_labels(&series, self.trend_tolerance)) {
-                labels[i] = label;
-            }
-        }
+    /// Append `name`, the `bins` band of numeric column `src`: the
+    /// "duplicate the attribute" pattern of §V.A, which keeps the
+    /// continuous column.
+    fn push_band(&mut self, src: &str, name: &str, bins: Bins) -> Result<()> {
+        let codes = self
+            .column(src)?
+            .map(|v| v.as_f64().map(|x| bins.assign(x)))
+            .collect();
+        self.push(
+            FieldDef::nullable(name, DataType::Text),
+            Column::Band { codes, bins },
+        )
+    }
 
-        let mut schema = table.schema().clone();
-        schema.push(FieldDef::nullable(col, DataType::Text))?;
-        let mut out = Table::new(schema);
-        for (i, row) in table.rows().iter().enumerate() {
-            let mut values = row.values().to_vec();
-            values.push(Value::Text(labels[i].to_string()));
+    /// The cells of column `name` in row order, cleaned or derived.
+    fn column(&self, name: &str) -> Result<impl Iterator<Item = Cow<'_, Value>>> {
+        let idx = self.schema.index_of(name)?;
+        let rows = self.cleaned.rows();
+        let derived = idx
+            .checked_sub(self.cleaned.schema().len())
+            .map(|d| &self.derived[d]);
+        Ok((0..rows.len()).map(move |i| match derived {
+            None => Cow::Borrowed(&rows[i][idx]),
+            Some(column) => Cow::Owned(column.value(i)),
+        }))
+    }
+
+    /// Build the output: each cleaned record is moved, not copied, and
+    /// its derived cells are appended in place.
+    fn finish(self) -> Table {
+        let mut out = Table::new(self.schema);
+        for (i, record) in self.cleaned.into_rows().into_iter().enumerate() {
+            let mut values = record.into_values();
+            values.extend(self.derived.iter().map(|column| column.value(i)));
             out.push_unchecked(Record::new(values));
         }
-        Ok(out)
+        out
     }
 }
 

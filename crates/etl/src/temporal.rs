@@ -1,6 +1,6 @@
 //! Temporal abstraction of time-stamped clinical variables.
 //!
-//! §IV.2 of the paper, after Stacey & McGregor [18]: derive high-level
+//! §IV.2 of the paper, after Stacey & McGregor \[18\]: derive high-level
 //! qualitative descriptions from low-level quantitative time-stamped
 //! measurements. Two abstraction families are implemented:
 //!
