@@ -177,8 +177,8 @@ impl DdDgms {
     /// warehouse (§IV's multi-user setting: clinicians, researchers
     /// and students querying at once). The service owns its copy;
     /// feed later loads to [`serve::QueryService::append`] or keep
-    /// mutating this system and start a fresh service. Fails only
-    /// when the OS refuses to spawn the worker threads.
+    /// mutating this system and start a fresh service. Requests run on
+    /// their callers' threads, so starting spawns no serving thread.
     pub fn serve(&self, config: serve::ServeConfig) -> serve::ServeResult<serve::QueryService> {
         serve::QueryService::new(self.warehouse.clone(), config)
     }

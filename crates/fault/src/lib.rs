@@ -2,13 +2,13 @@
 //!
 //! Production resource code calls [`point`] at every place an I/O or
 //! scheduling operation can genuinely fail — a WAL append, a warehouse
-//! load, a cube-build worker body, the serve queue hand-off. In normal
+//! load, an OLAP segment scan, a serve execution. In normal
 //! operation nothing is armed and the call is a single relaxed atomic
 //! load (the same zero-cost-when-disabled discipline as `obs`
 //! tracing). Tests and chaos drills [`arm`] a point with a scripted
 //! [`Trigger`] and a [`FaultKind`], and the next matching evaluation
-//! returns a [`FaultError`] (or panics, for panic-containment drills)
-//! exactly where a real fault would surface.
+//! returns a [`FaultError`] (or panics, or stalls, for containment and
+//! overlap drills) exactly where a real fault would surface.
 //!
 //! Triggers are deterministic: fail-once, fail-every-Nth, fail-after-K
 //! and seeded-probabilistic all derive from per-point hit counters and
@@ -37,6 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Number of currently armed failpoints. The [`point`] fast path is a
 /// single relaxed load of this counter; everything else lives behind
@@ -97,6 +98,10 @@ pub enum FaultKind {
     /// [`point`] panics — models a crash inside the instrumented code,
     /// for `catch_unwind` containment drills.
     Panic,
+    /// [`point`] sleeps for the duration, then returns `Ok(())` — a
+    /// slow resource rather than a failed one, for drills that need
+    /// executions to overlap or overrun a deadline.
+    Delay(Duration),
 }
 
 struct PointState {
@@ -197,6 +202,10 @@ fn point_slow(name: &str) -> Result<(), FaultError> {
             point: name.to_string(),
         }),
         FaultKind::Panic => panic!("injected fault (panic) at {name}"),
+        FaultKind::Delay(pause) => {
+            std::thread::sleep(pause);
+            Ok(())
+        }
     }
 }
 
@@ -372,6 +381,18 @@ mod tests {
         let caught = std::panic::catch_unwind(|| point("t.panic"));
         assert!(caught.is_err(), "panic kind must unwind");
         assert!(point("t.panic").is_ok(), "Once is spent by the panic");
+    }
+
+    #[test]
+    fn delay_kind_sleeps_then_passes() {
+        let _lock = fault_lock();
+        let pause = std::time::Duration::from_millis(20);
+        let _guard = arm("t.delay", Trigger::Once, FaultKind::Delay(pause));
+        let started = std::time::Instant::now();
+        assert!(point("t.delay").is_ok(), "a delay is not an error");
+        assert!(started.elapsed() >= pause, "the firing hit sleeps");
+        assert!(point("t.delay").is_ok());
+        assert_eq!(fires("t.delay"), 1, "Once is spent");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Four concerns, one crate, zero dependencies:
 //!
-//! * [`trace`] — spans and events with trace ids that survive thread
-//!   boundaries (the serve worker pool). The disabled path is a single
+//! * [`trace`] — spans and events with trace ids, parented through a
+//!   per-thread span stack. The disabled path is a single
 //!   relaxed atomic load, so instrumentation stays compiled into hot
 //!   paths unconditionally.
 //! * [`metrics`] — named counters, gauges and histograms in a
@@ -82,8 +82,7 @@ pub use recorder::{
 pub use slo::{render_status, SloEngine, SloKind, SloSpec, SloStatus, SloWindows};
 pub use trace::{
     current_context, enabled, event, event_with, install, monotonic_us, promote_trace, set_enabled,
-    span, span_child_of, uninstall, EventRecord, SpanContext, SpanGuard, SpanId, SpanRecord,
-    Subscriber, TraceId,
+    span, uninstall, EventRecord, SpanContext, SpanGuard, SpanId, SpanRecord, Subscriber, TraceId,
 };
 pub use watchdog::{
     heartbeat, register_worker, task_scope, thread_states, ThreadState, Watchdog, WatchdogConfig,
@@ -106,8 +105,7 @@ pub mod test_support {
     }
 
     /// Root a trace on the calling thread: everything the thread does
-    /// while the guard lives — and whatever other threads do on its
-    /// behalf under a propagated context — joins the returned trace.
+    /// while the guard lives joins the returned trace.
     /// [`tracing_lock`] keeps subscribers from being swapped, but the
     /// installed one still hears concurrent threads that trace without
     /// the lock; a test that counts spans reads its own trace back

@@ -63,38 +63,36 @@ pub enum LockRank {
     /// replay (which takes the follower's warehouse write lock per
     /// record) so applied epochs advance in log order.
     Replication = 4,
-    /// `serve` worker-pool join handles.
-    Pool = 5,
     /// The warehouse reader–writer lock (epoch state, segment sets).
-    Warehouse = 6,
+    Warehouse = 5,
     /// The per-epoch semantic catalog cache.
-    Catalog = 7,
+    Catalog = 6,
     /// Result-cache shards (acquired under the warehouse read lock
-    /// during delta revalidation).
-    Cache = 8,
+    /// during delta revalidation, and under the single-flight table
+    /// when a joining caller re-checks for a just-published result).
+    Cache = 7,
     /// Segment-backend registries (acquired under the warehouse lock
     /// during scans and compaction).
-    SegmentSet = 9,
+    SegmentSet = 8,
     /// The OLTP heap lock.
-    Heap = 10,
+    Heap = 9,
     /// OLTP secondary-index maps (filled under the heap read lock).
-    Index = 11,
+    Index = 10,
     /// The write-ahead-log writer.
-    Wal = 12,
+    Wal = 11,
     /// The durable oplog writer — appended to under the primary's
     /// warehouse write lock (and read under a replica's cursor lock),
     /// making it the innermost lock in the stack.
-    Oplog = 13,
+    Oplog = 12,
 }
 
 /// Every rank in ascending acquisition order.
-pub const ALL_RANKS: [LockRank; 14] = [
+pub const ALL_RANKS: [LockRank; 13] = [
     LockRank::Admission,
     LockRank::FlightSlot,
     LockRank::Breaker,
     LockRank::Router,
     LockRank::Replication,
-    LockRank::Pool,
     LockRank::Warehouse,
     LockRank::Catalog,
     LockRank::Cache,
@@ -115,7 +113,6 @@ impl LockRank {
             LockRank::Breaker => "Breaker",
             LockRank::Router => "Router",
             LockRank::Replication => "Replication",
-            LockRank::Pool => "Pool",
             LockRank::Warehouse => "Warehouse",
             LockRank::Catalog => "Catalog",
             LockRank::Cache => "Cache",
@@ -495,7 +492,7 @@ mod tests {
             prev = Some(r);
         }
         assert_eq!(LockRank::parse("NoSuchRank"), None);
-        assert_eq!(LockRank::Warehouse.to_string(), "Warehouse=6");
+        assert_eq!(LockRank::Warehouse.to_string(), "Warehouse=5");
     }
 
     #[test]

@@ -21,7 +21,8 @@ pub enum Phase {
     Analyze,
     /// Result-cache probe.
     CacheLookup,
-    /// Waiting in the admission queue for a worker.
+    /// Admission: from the leader's in-flight check up to the start of
+    /// its scan (failpoints and warehouse-read retries included).
     Queue,
     /// Scanning the warehouse and building the cube / cells.
     Execute,
@@ -59,7 +60,7 @@ impl Phase {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryProfile {
     /// `(phase, µs)` in execution order. A phase recorded twice (e.g.
-    /// parse at admission and again on the worker) appears twice.
+    /// parse at admission and again at execution) appears twice.
     pub phases: Vec<(Phase, u64)>,
     /// Fact rows visited by the execute phase.
     pub rows_scanned: u64,

@@ -8,10 +8,9 @@
 //!
 //! When enabled, spans form a tree: a thread-local stack tracks the
 //! current span, new spans parent onto it and inherit its trace id.
-//! Crossing a thread boundary is explicit — capture
-//! [`current_context`] on the sending side and open the child with
-//! [`span_child_of`] on the receiving side (the serve worker pool and
-//! the parallel cube builder both do this).
+//! A span opened on another thread starts a trace of its own; related
+//! traces are linked by fields (a coalesced serve request records its
+//! leader's `link_trace`/`link_span`).
 //!
 //! Completed spans are reported to the installed [`Subscriber`] on
 //! drop; children therefore arrive before their parents, and
@@ -453,16 +452,11 @@ impl Drop for SpanGuard {
     }
 }
 
-fn open(name: &'static str, parent: Option<SpanContext>, link_current: bool) -> SpanGuard {
+fn open(name: &'static str) -> SpanGuard {
     if !active() {
         return SpanGuard { inner: None };
     }
-    let inherited = if link_current {
-        CURRENT.with(Cell::get)
-    } else {
-        None
-    };
-    let parent = parent.or(inherited);
+    let parent = CURRENT.with(Cell::get);
     let ctx = SpanContext {
         trace: parent
             .map(|p| p.trace)
@@ -532,13 +526,7 @@ fn open(name: &'static str, parent: Option<SpanContext>, link_current: bool) -> 
 /// assert_eq!(spans[0].trace, spans[1].trace);
 /// ```
 pub fn span(name: &'static str) -> SpanGuard {
-    open(name, None, true)
-}
-
-/// Open a span explicitly parented on `parent` — the cross-thread
-/// form. `None` behaves like [`span`] on a fresh thread: a new trace.
-pub fn span_child_of(name: &'static str, parent: Option<SpanContext>) -> SpanGuard {
-    open(name, parent, false)
+    open(name)
 }
 
 /// Fire an event with fields, attributed to the innermost live span.
@@ -623,30 +611,6 @@ mod tests {
         let events = collector.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].span, Some(spans[0].id));
-    }
-
-    #[test]
-    fn cross_thread_context_links_the_trace() {
-        let _guard = tracing_lock();
-        let collector = Arc::new(RingCollector::new(64));
-        install(collector.clone());
-        let ctx = {
-            let root = span("sender");
-            let ctx = root.context();
-            std::thread::spawn(move || {
-                let remote = span_child_of("receiver", ctx);
-                remote.context().unwrap()
-            })
-            .join()
-            .unwrap()
-        };
-        uninstall();
-        let spans = collector.spans();
-        let sender = spans.iter().find(|s| s.name == "sender").unwrap();
-        let receiver = spans.iter().find(|s| s.name == "receiver").unwrap();
-        assert_eq!(ctx.trace, sender.trace);
-        assert_eq!(receiver.trace, sender.trace);
-        assert_eq!(receiver.parent, Some(sender.id));
     }
 
     #[test]

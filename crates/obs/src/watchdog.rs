@@ -35,7 +35,7 @@ use std::time::Duration;
 /// and embedded in black-box dumps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadState {
-    /// The worker's registered name (`serve-worker-0`,
+    /// The worker's registered name (`serve.execute`,
     /// `warehouse.compact`, …).
     pub worker: String,
     /// The current span path, innermost last (`serve.request>serve.execute`),
@@ -139,8 +139,8 @@ fn table() -> &'static Mutex<Vec<Weak<Slot>>> {
 
 thread_local! {
     /// The stack of slots registered on this thread, innermost last
-    /// (a compaction `task_scope` can nest inside a serve worker's
-    /// registration; publishing targets the innermost).
+    /// (an OLAP execute `task_scope` nests inside a serve execution's;
+    /// publishing targets the innermost).
     static SLOTS: RefCell<Vec<Arc<Slot>>> = const { RefCell::new(Vec::new()) };
     /// The live span stack on this thread: (name, trace), innermost
     /// last. Maintained by the tracing layer whenever it is active.
@@ -179,10 +179,16 @@ fn register(worker: &str, budget: Duration) -> WorkerGuard {
         heartbeat_us: AtomicU64::new(monotonic_us()),
         stalled: AtomicBool::new(false),
     });
-    table()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(Arc::downgrade(&slot));
+    {
+        let mut table = table().lock().unwrap_or_else(|e| e.into_inner());
+        // Bounded scopes (one per serve execution) register far more
+        // often than a watchdog may sweep — a service can run without
+        // one — so expired slots are dropped whenever the table fills.
+        if table.len() == table.capacity() {
+            table.retain(|weak| weak.strong_count() > 0);
+        }
+        table.push(Arc::downgrade(&slot));
+    }
     SLOTS.with(|s| {
         let mut slots = s.borrow_mut();
         slots.push(Arc::clone(&slot));
@@ -554,6 +560,18 @@ mod tests {
         assert!(!thread_states().iter().any(|s| s.worker == "wd-test-worker"));
         crate::lockrank::set_rank_checks(false);
         crate::trace::uninstall();
+    }
+
+    #[test]
+    fn expired_scopes_do_not_accumulate() {
+        for _ in 0..10_000 {
+            drop(task_scope("wd-churn", Duration::ZERO));
+        }
+        let len = table().lock().unwrap_or_else(|e| e.into_inner()).len();
+        assert!(
+            len < 1_000,
+            "{len} slots retained after 10 000 ended scopes"
+        );
     }
 
     #[test]

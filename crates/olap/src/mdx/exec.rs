@@ -100,7 +100,7 @@ pub fn execute_query_profiled(
 ) -> Result<PivotTable> {
     // Register the execution as a bounded watchdog task so a wedged
     // scan shows up in the folded profile and trips stall detection
-    // even when the caller is not a registered serve worker.
+    // even when the caller opened no task scope of its own.
     let _watchdog_scope = obs::task_scope("olap.execute", std::time::Duration::from_secs(60));
     let mut span = obs::span("olap.mdx_execute");
     if query.cube != warehouse.star().fact.name {

@@ -97,7 +97,7 @@ impl Shard {
 }
 
 /// The sharded cache. Sharding by key hash keeps lock contention
-/// bounded when many worker threads publish results concurrently.
+/// bounded when many callers publish results concurrently.
 pub struct ResultCache {
     shards: Vec<RankedMutex<Shard>>,
 }

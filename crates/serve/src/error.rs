@@ -16,11 +16,11 @@ pub type ServeResult<T> = std::result::Result<T, ServeError>;
 /// Why a request was not served.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// Admission control rejected the request: the bounded work queue
-    /// was full. The caller should back off and retry; nothing was
-    /// executed on its behalf.
+    /// Admission control rejected the request: `workers + queue_depth`
+    /// executions were already in flight. The caller should back off
+    /// and retry; nothing was executed on its behalf.
     Overloaded {
-        /// Configured queue depth that was exhausted.
+        /// Configured queue depth (executions admitted beyond `workers`).
         queue_depth: usize,
         /// Trace of the rejected request, when one was recorded.
         trace: Option<TraceId>,
@@ -49,7 +49,7 @@ pub enum ServeError {
     ShuttingDown,
     /// The semantic analyzer rejected the request at admission:
     /// unknown names, type mismatches or illegal aggregations. Nothing
-    /// was queued or executed; the diagnostics carry stable codes
+    /// was admitted or executed; the diagnostics carry stable codes
     /// (`A0xx`/`A1xx`/`A2xx`) and did-you-mean suggestions.
     Invalid {
         /// The analyzer's findings.
@@ -59,11 +59,11 @@ pub enum ServeError {
     },
     /// The query itself failed (parse error, unknown attribute, …).
     Query(clinical_types::Error),
-    /// The serving layer itself failed: a worker panicked while
-    /// executing the request, an injected fault exhausted its retries,
-    /// or the circuit breaker deflected the request with no cached
-    /// result to degrade to. The request may be retried; the service
-    /// survives (workers are respawned, breakers recover via probes).
+    /// The serving layer itself failed: the execution panicked (the
+    /// panic is contained on the caller's thread), an injected fault
+    /// exhausted its retries, or the circuit breaker deflected the
+    /// request with no cached result to degrade to. The request may be
+    /// retried; the service survives (breakers recover via probes).
     Internal {
         /// Human-readable cause (panic payload, fault point, …).
         detail: String,
@@ -99,7 +99,7 @@ impl fmt::Display for ServeError {
             ServeError::Overloaded { queue_depth, trace } => {
                 write!(
                     f,
-                    "overloaded: work queue at capacity ({queue_depth}){}",
+                    "overloaded: executions at capacity (queue depth {queue_depth}){}",
                     trace_suffix(trace)
                 )
             }

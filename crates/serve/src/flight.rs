@@ -1,10 +1,16 @@
 //! Single-flight deduplication.
 //!
 //! When N callers ask for the same `(fingerprint, epoch)` at once,
-//! exactly one — the *leader* — enqueues an execution; the rest park on
-//! the leader's [`Flight`] and share its result. This bounds worker
-//! work under query storms: a popular dashboard query costs one
-//! execution no matter how many clinicians refresh it.
+//! exactly one — the *leader* — runs the execution on its own thread;
+//! the rest park on the leader's [`Flight`] and share its result. This
+//! bounds execution work under query storms: a popular dashboard query
+//! costs one execution no matter how many clinicians refresh it.
+//!
+//! A leader publishes its result to the cache, then retires its flight,
+//! then completes it. [`FlightTable::join`] re-checks the cache under
+//! the table lock, so a caller whose own cache lookup raced that
+//! sequence either joins the flight or finds the published result — it
+//! never leads a second execution of the same key.
 //!
 //! The per-flight result slot uses `std::sync` directly because
 //! waiters need a `Condvar`, which the ranked wrappers do not pair
@@ -86,10 +92,13 @@ impl Flight {
 
 /// Whether a caller leads or joins an execution.
 pub enum FlightRole {
-    /// This caller must enqueue the execution (and then wait).
+    /// This caller must run the execution and complete the flight.
     Leader(Arc<Flight>),
     /// An identical execution is already in flight; just wait.
     Follower(Arc<Flight>),
+    /// A leader published this key's result after the caller's cache
+    /// lookup missed; serve it as a cache hit.
+    Published(Arc<QueryOutcome>),
 }
 
 /// The table of in-flight executions, keyed like the cache.
@@ -106,18 +115,28 @@ impl Default for FlightTable {
 }
 
 impl FlightTable {
-    /// Join the flight for `key`, creating it (as leader) if absent.
-    /// `ctx` is the joining request's span context: it becomes the
-    /// flight's leader context when this caller creates the flight.
-    pub fn join(&self, key: &CacheKey, ctx: Option<SpanContext>) -> FlightRole {
+    /// Join the flight for `key`; failing that, take the result
+    /// `published` finds in the cache; failing that, create the flight
+    /// as its leader. `ctx` is the joining request's span context: it
+    /// becomes the flight's leader context when this caller creates the
+    /// flight. `published` runs under the table lock (rank `Admission`,
+    /// below `Cache`).
+    pub fn join(
+        &self,
+        key: &CacheKey,
+        ctx: Option<SpanContext>,
+        published: impl FnOnce() -> Option<Arc<QueryOutcome>>,
+    ) -> FlightRole {
         let mut flights = self.flights.lock();
         if let Some(flight) = flights.get(key) {
-            FlightRole::Follower(Arc::clone(flight))
-        } else {
-            let flight = Arc::new(Flight::new(ctx));
-            flights.insert(key.clone(), Arc::clone(&flight));
-            FlightRole::Leader(flight)
+            return FlightRole::Follower(Arc::clone(flight));
         }
+        if let Some(value) = published() {
+            return FlightRole::Published(value);
+        }
+        let flight = Arc::new(Flight::new(ctx));
+        flights.insert(key.clone(), Arc::clone(&flight));
+        FlightRole::Leader(flight)
     }
 
     /// Retire the flight for `key` so later callers start a fresh one.
@@ -153,11 +172,41 @@ mod tests {
     fn second_joiner_is_a_follower() {
         let table = FlightTable::default();
         let key = ("q".to_string(), 1);
-        assert!(matches!(table.join(&key, None), FlightRole::Leader(_)));
-        assert!(matches!(table.join(&key, None), FlightRole::Follower(_)));
+        assert!(matches!(
+            table.join(&key, None, || None),
+            FlightRole::Leader(_)
+        ));
+        assert!(matches!(
+            table.join(&key, None, || None),
+            FlightRole::Follower(_)
+        ));
         assert_eq!(table.in_flight(), 1);
         table.retire(&key);
-        assert!(matches!(table.join(&key, None), FlightRole::Leader(_)));
+        assert!(matches!(
+            table.join(&key, None, || None),
+            FlightRole::Leader(_)
+        ));
+    }
+
+    #[test]
+    fn a_published_result_is_taken_only_when_no_flight_is_open() {
+        let table = FlightTable::default();
+        let key = ("q".to_string(), 1);
+        let value = outcome();
+        let FlightRole::Published(got) = table.join(&key, None, || Some(Arc::clone(&value))) else {
+            panic!("a published result must be served");
+        };
+        assert!(Arc::ptr_eq(&got, &value));
+        assert_eq!(table.in_flight(), 0, "nothing to retire");
+        // An open flight wins: its waiters share one execution.
+        assert!(matches!(
+            table.join(&key, None, || None),
+            FlightRole::Leader(_)
+        ));
+        assert!(matches!(
+            table.join(&key, None, || Some(outcome())),
+            FlightRole::Follower(_)
+        ));
     }
 
     #[test]
@@ -168,11 +217,11 @@ mod tests {
             trace: obs::TraceId(7),
             span: obs::SpanId(9),
         };
-        let FlightRole::Leader(led) = table.join(&key, Some(ctx)) else {
+        let FlightRole::Leader(led) = table.join(&key, Some(ctx), || None) else {
             panic!("first joiner must lead");
         };
         assert_eq!(led.leader_context(), Some(ctx));
-        let FlightRole::Follower(followed) = table.join(&key, None) else {
+        let FlightRole::Follower(followed) = table.join(&key, None, || None) else {
             panic!("second joiner must follow");
         };
         assert_eq!(followed.leader_context(), Some(ctx));

@@ -8,10 +8,10 @@
 //! simultaneously (§IV). This crate supplies the serving discipline
 //! that a multi-user deployment of the reproduction needs:
 //!
-//! - **[`QueryService`]** — a bounded worker pool executing
-//!   [`QueryRequest`]s (MDX strings, cube specs, declarative
-//!   [`ReportSpec`] reports) against the warehouse, with per-request
-//!   deadlines.
+//! - **[`QueryService`]** — executes [`QueryRequest`]s (MDX strings,
+//!   cube specs, declarative [`ReportSpec`] reports) against the
+//!   warehouse on the caller's thread, with per-request deadlines.
+//!   The callers bring the concurrency; the service runs no pool.
 //! - **Result cache with delta revalidation** — sharded LRU keyed by
 //!   the query's *canonical fingerprint*; the data epoch the result
 //!   was computed under travels inside the entry. When the warehouse
@@ -25,26 +25,26 @@
 //! - **Single-flight dedup** — N identical concurrent queries cost
 //!   one execution; the rest park and share the leader's result
 //!   ([`ServedSource::Coalesced`]).
-//! - **Admission control** — the work queue is bounded; when it is
-//!   full, callers get a typed [`ServeError::Overloaded`] immediately
-//!   instead of queueing without bound.
+//! - **Admission control** — executions in flight are bounded by
+//!   `workers + queue_depth`; past that, callers get a typed
+//!   [`ServeError::Overloaded`] immediately instead of piling up.
 //! - **Semantic admission gate** — every request runs through the
 //!   `analyze` semantic analyzer against a per-epoch catalog before it
-//!   can reach the cache or queue; invalid requests come back as
+//!   can reach the cache or admission; invalid requests come back as
 //!   [`ServeError::Invalid`] with stable diagnostic codes and
 //!   did-you-mean suggestions, counted separately from load shedding.
 //! - **Metrics** — hit/miss/coalesced/rejected counters and a latency
 //!   histogram, snapshotted by [`QueryService::metrics`] and on
 //!   [`QueryService::shutdown`].
-//! - **Graceful degradation** — worker panics are contained per job
-//!   (typed [`ServeError::Internal`] carrying the trace id) and lost
-//!   worker threads are respawned; transient faults retry with
+//! - **Graceful degradation** — a panicking execution is contained on
+//!   its caller's thread (typed [`ServeError::Internal`] carrying the
+//!   trace id, followers woken with the same error); transient faults retry with
 //!   deterministic jittered backoff ([`RetryPolicy`]); repeated
 //!   execution failures trip a [`CircuitBreaker`] that serves
 //!   stale-but-marked cache entries (`QueryOutcome::degraded`) until
 //!   half-open probes confirm recovery.
 //! - **Per-user quotas** — [`AdmissionQuotas`] token-buckets each
-//!   session key ahead of the queue ([`QueryService::execute_for`]),
+//!   session key ahead of admission ([`QueryService::execute_for`]),
 //!   so one chatty session is rejected with a typed
 //!   [`ServeError::QuotaExceeded`] instead of converting its excess
 //!   into [`ServeError::Overloaded`] for everyone else.
@@ -52,7 +52,7 @@
 //!   that publishes every mutation to a durable `oplog` change feed,
 //!   plus epoch-aware read replicas that tail it. Queries route only
 //!   to replicas that have fully applied the primary's current epoch
-//!   (power-of-two-choices on queue depth, transparent failover);
+//!   (power-of-two-choices on executions in flight, transparent failover);
 //!   when no fresh replica exists the result is explicitly
 //!   stale-marked, and a replica behind the log's truncation horizon
 //!   re-seeds from a primary snapshot instead of replaying a gap.
@@ -79,7 +79,7 @@
 //! let table = Table::from_rows(schema, rows)?;
 //! let wh = Warehouse::load(&LoadPlan::from_star(star), &table)?;
 //!
-//! let service = QueryService::new(wh, ServeConfig::default()).expect("workers spawn");
+//! let service = QueryService::new(wh, ServeConfig::default()).expect("service starts");
 //! let spec = ReportSpec::new().on_rows("FBG_Band").count();
 //! let cold = service.report(spec.clone()).unwrap();
 //! let warm = service.report(spec).unwrap();

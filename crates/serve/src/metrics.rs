@@ -8,7 +8,7 @@
 //! diffing for free, while [`MetricsSnapshot`] keeps its original
 //! field-for-field shape for existing consumers.
 
-use obs::{percentile_from_buckets, Counter, Gauge, Histogram, MetricsRegistry};
+use obs::{percentile_from_buckets, Counter, Histogram, MetricsRegistry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,15 +33,12 @@ pub struct ServeMetrics {
     deadline_exceeded: Counter,
     failed: Counter,
     worker_panics: Counter,
-    worker_respawned: Counter,
-    worker_respawn_failed: Counter,
     served_stale: Counter,
     breaker_open: Counter,
     retries: Counter,
     rows_scanned: Counter,
     segments_pruned: Counter,
     morsels_executed: Counter,
-    workers_alive: Gauge,
     latency: Arc<Histogram>,
 }
 
@@ -69,15 +66,12 @@ impl ServeMetrics {
             deadline_exceeded: registry.counter("serve_deadline_exceeded_total"),
             failed: registry.counter("serve_failed_total"),
             worker_panics: registry.counter("serve_worker_panics_total"),
-            worker_respawned: registry.counter("serve_worker_respawned_total"),
-            worker_respawn_failed: registry.counter("serve_worker_respawn_failed_total"),
             served_stale: registry.counter("serve_served_stale_total"),
             breaker_open: registry.counter("serve_breaker_open_total"),
             retries: registry.counter("serve_retries_total"),
             rows_scanned: registry.counter("serve_rows_scanned_total"),
             segments_pruned: registry.counter("serve_segments_pruned_total"),
             morsels_executed: registry.counter("serve_morsels_executed_total"),
-            workers_alive: registry.gauge("serve_workers_alive"),
             latency: registry.histogram("serve_latency_us", &BUCKET_BOUNDS_US),
             registry,
         }
@@ -136,7 +130,7 @@ impl ServeMetrics {
         self.quota_rejected.inc();
     }
 
-    /// Record a worker-side execution.
+    /// Record a completed execution.
     pub fn record_executed(&self) {
         self.executed.inc();
     }
@@ -151,20 +145,10 @@ impl ServeMetrics {
         self.failed.inc();
     }
 
-    /// Record a worker thread (or a job inside one) panicking.
+    /// Record an execution that panicked (contained on its caller's
+    /// thread as a typed `Internal` error).
     pub fn record_worker_panic(&self) {
         self.worker_panics.inc();
-    }
-
-    /// Record a lost worker successfully respawned.
-    pub fn record_worker_respawned(&self) {
-        self.worker_respawned.inc();
-    }
-
-    /// Record a failed respawn attempt: the pool keeps serving with
-    /// fewer workers (degraded) instead of aborting.
-    pub fn record_worker_respawn_failed(&self) {
-        self.worker_respawn_failed.inc();
     }
 
     /// Record a request answered from a stale cache entry while the
@@ -183,7 +167,7 @@ impl ServeMetrics {
         self.retries.add(n);
     }
 
-    /// Record the rows scanned by one worker-side execution (from its
+    /// Record the rows scanned by one execution (from its
     /// query profile), so scan volume is visible on the scrape surface
     /// and in flight-recorder metric deltas.
     pub fn record_rows_scanned(&self, n: u64) {
@@ -200,16 +184,6 @@ impl ServeMetrics {
     /// (from its query profile; 0 for scalar/legacy scans).
     pub fn record_morsels_executed(&self, n: u64) {
         self.morsels_executed.add(n);
-    }
-
-    /// Set the live-worker gauge.
-    pub fn set_workers_alive(&self, n: i64) {
-        self.workers_alive.set(n);
-    }
-
-    /// Adjust the live-worker gauge by `delta`.
-    pub fn add_workers_alive(&self, delta: i64) {
-        self.workers_alive.add(delta);
     }
 
     /// Record the end-to-end latency of one served request.
@@ -245,15 +219,12 @@ impl ServeMetrics {
             deadline_exceeded: self.deadline_exceeded.get(),
             failed: self.failed.get(),
             worker_panics: self.worker_panics.get(),
-            worker_respawned: self.worker_respawned.get(),
-            worker_respawn_failed: self.worker_respawn_failed.get(),
             served_stale: self.served_stale.get(),
             breaker_open: self.breaker_open.get(),
             retries: self.retries.get(),
             rows_scanned: self.rows_scanned.get(),
             segments_pruned: self.segments_pruned.get(),
             morsels_executed: self.morsels_executed.get(),
-            workers_alive: self.workers_alive.get(),
             latency_us_sum: self.latency.sum(),
             latency_buckets: std::array::from_fn(|i| counts.get(i).copied().unwrap_or(0)),
         }
@@ -284,18 +255,14 @@ pub struct MetricsSnapshot {
     pub rejected_invalid: u64,
     /// Requests rejected by per-user admission quotas.
     pub quota_rejected: u64,
-    /// Executions performed by the worker pool.
+    /// Executions run by single-flight leaders.
     pub executed: u64,
     /// Requests whose caller gave up on its deadline.
     pub deadline_exceeded: u64,
     /// Executions that failed at the query layer.
     pub failed: u64,
-    /// Worker panics contained by the pool (thread- or job-level).
+    /// Executions that panicked, each contained on its caller's thread.
     pub worker_panics: u64,
-    /// Lost workers successfully respawned.
-    pub worker_respawned: u64,
-    /// Respawn attempts that failed (pool degraded, not aborted).
-    pub worker_respawn_failed: u64,
     /// Requests served from stale cache while a breaker was open
     /// (subset of `hits`).
     pub served_stale: u64,
@@ -303,14 +270,12 @@ pub struct MetricsSnapshot {
     pub breaker_open: u64,
     /// Transient-fault retries performed across request paths.
     pub retries: u64,
-    /// Rows scanned by worker-side executions (profile-attributed).
+    /// Rows scanned by executions (profile-attributed).
     pub rows_scanned: u64,
     /// Segments skipped by zone-map pruning across executions.
     pub segments_pruned: u64,
     /// Morsels claimed by vectorized scans across executions.
     pub morsels_executed: u64,
-    /// Worker threads currently alive.
-    pub workers_alive: i64,
     /// Sum of recorded latencies (µs).
     pub latency_us_sum: u64,
     /// Latency histogram counts, aligned with the bucket bounds.
@@ -373,20 +338,11 @@ impl fmt::Display for MetricsSnapshot {
             self.deadline_exceeded,
             self.failed,
         )?;
-        if self.worker_panics + self.breaker_open + self.served_stale + self.retries > 0
-            || self.worker_respawn_failed > 0
-        {
+        if self.worker_panics + self.breaker_open + self.served_stale + self.retries > 0 {
             writeln!(
                 f,
-                "robustness: worker-panics {} (respawned {}, respawn-failed {}), \
-                 breaker-open {}, served-stale {}, retries {}, workers-alive {}",
-                self.worker_panics,
-                self.worker_respawned,
-                self.worker_respawn_failed,
-                self.breaker_open,
-                self.served_stale,
-                self.retries,
-                self.workers_alive,
+                "robustness: panics {}, breaker-open {}, served-stale {}, retries {}",
+                self.worker_panics, self.breaker_open, self.served_stale, self.retries,
             )?;
         }
         if let Some(mean) = self.mean_latency() {

@@ -1,8 +1,8 @@
 //! Owned query requests and their canonical fingerprints.
 //!
 //! A request must live independently of the warehouse it will run
-//! against (it sits in a queue, possibly outliving the snapshot it was
-//! admitted under), so every variant is a self-contained description:
+//! against (it may outlive the snapshot it was admitted under, and a
+//! cached result outlives it), so every variant is a self-contained description:
 //! an MDX string, a [`CubeSpec`], or a declarative [`ReportSpec`] that
 //! is translated into an `olap::QueryBuilder` chain at execution time.
 
@@ -33,7 +33,7 @@ pub enum QueryRequest {
 impl QueryRequest {
     /// Canonical fingerprint: semantically equivalent requests map to
     /// the same string, so the cache and single-flight table coalesce
-    /// them. Parse failures surface here, before the request queues.
+    /// them. Parse failures surface here, before admission.
     pub fn fingerprint(&self) -> Result<String> {
         match self {
             QueryRequest::Mdx(text) => Ok(parse_mdx(text)?.canonical()),
@@ -66,7 +66,7 @@ impl QueryRequest {
     /// Execute against a warehouse snapshot.
     ///
     /// Skips the semantic pre-pass: the service has already analyzed
-    /// the request at admission, so workers go straight to execution.
+    /// the request at admission, so execution starts straight away.
     /// The returned outcome carries the [`QueryProfile`] of this run.
     pub fn execute(&self, warehouse: &Warehouse) -> Result<QueryOutcome> {
         let mut profile = ProfileBuilder::start();
@@ -79,8 +79,8 @@ impl QueryRequest {
     }
 
     /// Execute against a warehouse snapshot, attributing the work to
-    /// an ongoing `profile` (the worker-pool path: the builder already
-    /// holds the caller-side parse/analyze/queue phases).
+    /// an ongoing `profile` (the service path: the builder already
+    /// holds the parse/analyze/cache-lookup/queue phases).
     pub fn execute_profiled(
         &self,
         warehouse: &Warehouse,

@@ -11,7 +11,7 @@
 //! execute(request)
 //!   ├─ required epoch ← primary's current epoch
 //!   ├─ fresh replicas = alive ∧ applied_epoch ≥ required
-//!   ├─ pick by power-of-two-choices on queue depth, dispatch
+//!   ├─ pick by power-of-two-choices on load, dispatch
 //!   │    ├─ served ──────────────────────────────▶ Served
 //!   │    ├─ request's own fault (Invalid/Query) ──▶ returned as-is
 //!   │    └─ replica failure → failover to the next fresh replica
@@ -152,7 +152,7 @@ pub struct ReplicaStatus {
     pub alive: bool,
     /// The epoch it has fully applied.
     pub applied_epoch: u64,
-    /// Jobs waiting in its admission queue.
+    /// Executions in flight on it.
     pub queued: usize,
 }
 
@@ -421,7 +421,7 @@ impl RouterShared {
     }
 
     /// Power-of-two-choices: sample two distinct candidates, keep the
-    /// one with the shorter admission queue.
+    /// one with fewer executions in flight.
     fn pick_p2c(&self, candidates: &[Arc<ReplicaHandle>]) -> usize {
         if candidates.len() == 1 {
             return 0;

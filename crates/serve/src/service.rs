@@ -1,24 +1,32 @@
-//! The query service: worker pool, admission control, and the
-//! cache / single-flight fast paths.
+//! The query service: admission control, the cache / single-flight
+//! fast paths, and execution on the caller's thread.
 //!
 //! Request lifecycle:
 //!
 //! ```text
 //! execute(request)
 //!   ├─ fingerprint → cache key; read current data epoch
-//!   ├─ semantic analysis fails? → Invalid (nothing queued or cached)
+//!   ├─ semantic analysis fails? → Invalid (nothing executed or cached)
 //!   ├─ cache entry, current epoch? ───────────────▶ Served (Cache)
 //!   ├─ cache entry, older epoch? revalidate via the delta log:
 //!   │    ├─ deltas outside the query's footprint → promote entry
 //!   │    │                                       ▶ Served (Cache, reused)
 //!   │    ├─ appended rows + retained cube → patch ▶ Served (Cache, patched)
 //!   │    └─ otherwise fall through to execute
-//!   ├─ identical query in flight? → park on it ───▶ Served (Coalesced)
-//!   └─ lead a new flight
-//!        ├─ queue full? → Overloaded (nothing ran)
-//!        └─ worker executes under a read snapshot,
-//!           publishes to cache, wakes all waiters ▶ Served (Executed)
+//!   ├─ under the flight-table lock:
+//!   │    ├─ identical query in flight? → park on it ▶ Served (Coalesced)
+//!   │    ├─ published since the lookup? ───────────▶ Served (Cache)
+//!   │    └─ otherwise lead a new flight
+//!   └─ as the leader, on this thread:
+//!        ├─ workers + queue_depth in flight? → Overloaded (nothing ran)
+//!        └─ execute under a read snapshot, publish to the cache,
+//!           retire the flight, wake all waiters ───▶ Served (Executed)
 //! ```
+//!
+//! The concurrency comes from the callers — clinicians, researchers and
+//! students querying one warehouse at once (§IV) — so the service runs
+//! no thread pool of its own: admission is a count of executions in
+//! flight, and a panicking execution is contained on its caller.
 //!
 //! Mutations (`append`, feedback dimensions) take the write lock and
 //! bump the warehouse epoch; in-flight reads finish against the
@@ -36,28 +44,29 @@ use crate::quota::{AdmissionQuotas, QuotaConfig};
 use crate::request::{CubeResult, OutcomePayload, QueryOutcome, QueryRequest, ReportSpec};
 use analyze::Catalog;
 use clinical_types::{Table, Value};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use fault::RetryPolicy;
 use obs::{
-    LockRank, Phase, ProfileBuilder, RankedMutex, RankedRwLock, SloEngine, SloSpec, SloStatus,
-    SpanContext, Watchdog, WatchdogConfig,
+    LockRank, Phase, ProfileBuilder, RankedRwLock, SloEngine, SloSpec, SloStatus, SpanGuard,
+    TraceId, Watchdog, WatchdogConfig,
 };
 use olap::{Cube, CubeSpec};
 use oplog::Oplog;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use warehouse::{ChangeSet, CompactionConfig, DeltaSummary, Warehouse, WarehouseChange};
 
 /// Tuning knobs for [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing queries.
+    /// The concurrency limit: executions expected to run at once, each
+    /// on its caller's thread.
     pub workers: usize,
-    /// Bounded depth of the admission queue; a full queue rejects with
-    /// [`ServeError::Overloaded`] instead of blocking callers.
+    /// Executions admitted beyond `workers`. A leader arriving with
+    /// `workers + queue_depth` executions already in flight is rejected
+    /// with [`ServeError::Overloaded`] instead of blocking.
     pub queue_depth: usize,
     /// Total results held by the cache.
     pub cache_capacity: usize,
@@ -65,10 +74,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Deadline applied by [`QueryService::execute`].
     pub default_deadline: Duration,
-    /// Artificial per-execution delay, applied by workers before
-    /// running the query. A deterministic aid for tests that need
-    /// executions to overlap; `None` in production.
-    pub execution_delay: Option<Duration>,
     /// Consecutive execution failures that trip the circuit breaker
     /// into degraded mode.
     pub breaker_threshold: u32,
@@ -78,17 +83,17 @@ pub struct ServeConfig {
     /// Retry schedule for transient faults on the revalidation and
     /// warehouse-read paths.
     pub retry: RetryPolicy,
-    /// Run the stall watchdog sampling thread alongside the pool. It
-    /// folds worker span paths into a flamegraph-style profile
-    /// (surfaced by [`QueryService::metrics_text`]) and fires a flight
-    /// recorder dump when a worker exceeds its stall budget.
+    /// Run the stall watchdog sampling thread. It folds executing span
+    /// paths into a flamegraph-style profile (surfaced by
+    /// [`QueryService::metrics_text`]) and fires a flight recorder dump
+    /// when an execution exceeds its stall budget.
     pub watchdog: bool,
     /// Sampling cadence of the watchdog thread.
     pub watchdog_interval: Duration,
-    /// Per-worker stall budget: a worker with a query in flight whose
-    /// heartbeat is older than this is declared stalled (one `obs.stall`
-    /// event + one `watchdog.stall` black-box dump per episode). Zero
-    /// disables stall detection.
+    /// Per-execution stall budget: an execution whose heartbeat is older
+    /// than this is declared stalled (one `obs.stall` event + one
+    /// `watchdog.stall` black-box dump per episode). Zero disables stall
+    /// detection.
     pub worker_stall_budget: Duration,
     /// Service-level objectives evaluated from the serve metrics
     /// registry on every [`QueryService::metrics_text`] /
@@ -96,8 +101,8 @@ pub struct ServeConfig {
     /// Prometheus recording rules).
     pub slos: Vec<SloSpec>,
     /// Per-user admission quota enforced by
-    /// [`QueryService::execute_for`] ahead of the bounded queue;
-    /// `None` disables per-session limiting (the aggregate queue bound
+    /// [`QueryService::execute_for`] ahead of admission; `None`
+    /// disables per-session limiting (the aggregate in-flight bound
     /// still applies).
     pub quota: Option<QuotaConfig>,
     /// Failure-domain label for this service instance, attributed on
@@ -130,7 +135,6 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             cache_shards: 8,
             default_deadline: Duration::from_secs(5),
-            execution_delay: None,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             retry: RetryPolicy::default(),
@@ -159,7 +163,7 @@ enum CacheHit {
 /// How a [`Served`] answer was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedSource {
-    /// This request led the execution on a worker.
+    /// This request led the execution, on its own thread.
     Executed,
     /// Answered straight from the result cache.
     Cache,
@@ -180,21 +184,6 @@ pub struct Served {
     pub latency: Duration,
 }
 
-struct Job {
-    request: QueryRequest,
-    key: CacheKey,
-    flight: Arc<Flight>,
-    /// The admitting request's span, so the worker's execution span
-    /// joins the caller's trace across the thread boundary.
-    ctx: Option<SpanContext>,
-    /// Caller-side phases (parse / analyze / cache lookup) already
-    /// recorded; the worker adds queue + execution phases and attaches
-    /// the finished profile to the outcome.
-    profile: ProfileBuilder,
-    /// Monotonic enqueue timestamp (µs) for the queue-wait phase.
-    queued_us: u64,
-}
-
 struct Shared {
     warehouse: RankedRwLock<Warehouse>,
     /// Semantic catalog for the admission gate, keyed by the epoch it
@@ -207,25 +196,17 @@ struct Shared {
     flights: FlightTable,
     metrics: ServeMetrics,
     accepting: AtomicBool,
-    execution_delay: Option<Duration>,
-    /// The job queue's consume side, held here so a dying worker's
-    /// replacement can subscribe to the same queue.
-    receiver: Receiver<Job>,
+    /// Executions running now, each on its leader's thread: the
+    /// admission count and the router's load signal. It guards no
+    /// other data, so every access is `Relaxed`.
+    in_flight: AtomicUsize,
     /// Execution-failure breaker; open = degraded mode.
     breaker: CircuitBreaker,
     /// Transient-fault retry schedule for request paths.
     retry: RetryPolicy,
-    /// Join handles of every live worker, including respawns. Workers
-    /// register their replacements here; `drain` joins until empty.
-    worker_handles: RankedMutex<Vec<JoinHandle<()>>>,
-    /// Live worker count (kept alongside the metrics gauge so tests
-    /// can spin-wait on pool recovery without a snapshot).
-    workers_alive: AtomicUsize,
-    /// Monotonic worker-name counter across spawns and respawns.
-    worker_seq: AtomicUsize,
     /// Burn-rate engine over this service's metrics registry.
     slo: SloEngine,
-    /// Stall budget handed to each worker's watchdog registration.
+    /// Stall budget of each execution's watchdog task scope.
     stall_budget: Duration,
     /// Per-session token buckets, when the config asked for them.
     /// Checked by `execute_for` before any other shared state.
@@ -256,12 +237,14 @@ impl Shared {
 ///
 /// Multi-user serving is intrinsic to the paper's setting — DiScRi's
 /// warehouse is queried by clinicians, researchers and students at
-/// once (§IV) — and this type provides the serving discipline: a
-/// bounded worker pool, an epoch-keyed result cache, single-flight
-/// deduplication and typed overload rejection.
+/// once (§IV) — and this type provides the serving discipline:
+/// execution on the caller's thread under a bounded in-flight count, an
+/// epoch-keyed result cache, single-flight deduplication and typed
+/// overload rejection.
 pub struct QueryService {
     shared: Arc<Shared>,
-    sender: Option<Sender<Job>>,
+    /// Executions admitted at once: `workers + queue_depth`.
+    max_in_flight: usize,
     queue_depth: usize,
     default_deadline: Duration,
     /// The sampling thread, when `ServeConfig::watchdog` asked for
@@ -272,10 +255,10 @@ pub struct QueryService {
 impl QueryService {
     /// Start a service over `warehouse` with `config`.
     ///
-    /// Fails with [`ServeError::Internal`] when a worker thread cannot
-    /// be spawned (OS resource exhaustion); any workers already started
-    /// are joined before returning, so a failed construction leaks
-    /// nothing.
+    /// Requests execute on their callers' threads, so construction
+    /// starts no serving thread. Only the optional stall watchdog
+    /// spawns one, and a failed watchdog spawn degrades to no stall
+    /// detection instead of an error.
     pub fn new(warehouse: Warehouse, config: ServeConfig) -> ServeResult<QueryService> {
         Self::build(warehouse, config, None)
     }
@@ -302,7 +285,6 @@ impl QueryService {
             warehouse.epoch(),
             Arc::new(Catalog::from_warehouse(&warehouse)),
         );
-        let (sender, receiver) = bounded::<Job>(config.queue_depth.max(1));
         let shared = Arc::new(Shared {
             warehouse: RankedRwLock::new(LockRank::Warehouse, "serve.warehouse", warehouse),
             catalog: RankedRwLock::new(LockRank::Catalog, "serve.catalog", catalog),
@@ -310,13 +292,9 @@ impl QueryService {
             flights: FlightTable::default(),
             metrics: ServeMetrics::default(),
             accepting: AtomicBool::new(true),
-            execution_delay: config.execution_delay,
-            receiver,
+            in_flight: AtomicUsize::new(0),
             breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
             retry: config.retry,
-            worker_handles: RankedMutex::new(LockRank::Pool, "serve.worker_handles", Vec::new()),
-            workers_alive: AtomicUsize::new(0),
-            worker_seq: AtomicUsize::new(0),
             slo: SloEngine::new(config.slos.clone()),
             stall_budget: config.worker_stall_budget,
             quotas: config.quota.clone().map(AdmissionQuotas::new),
@@ -335,24 +313,8 @@ impl QueryService {
                 Box::new(move || weak.upgrade().map(|s| s.metrics.registry().snapshot())),
             );
         }
-        for _ in 0..config.workers.max(1) {
-            match spawn_worker(&shared) {
-                Ok(handle) => shared.worker_handles.lock().push(handle),
-                Err(e) => {
-                    // Unwind cleanly: no accepting flag, no sender, no
-                    // threads left behind.
-                    shared.accepting.store(false, Ordering::Release);
-                    drop(sender);
-                    join_workers(&shared);
-                    return Err(ServeError::Internal {
-                        detail: format!("failed to spawn worker thread: {e}"),
-                        trace: None,
-                    });
-                }
-            }
-        }
         // The watchdog is observability, not serving: a failed spawn
-        // degrades to no stall detection instead of failing the pool.
+        // degrades to no stall detection instead of failing the service.
         let watchdog = if config.watchdog {
             Watchdog::start(WatchdogConfig {
                 interval: config.watchdog_interval,
@@ -368,10 +330,11 @@ impl QueryService {
         } else {
             None
         };
+        let queue_depth = config.queue_depth.max(1);
         Ok(QueryService {
             shared,
-            sender: Some(sender),
-            queue_depth: config.queue_depth.max(1),
+            max_in_flight: config.workers.max(1) + queue_depth,
+            queue_depth,
             default_deadline: config.default_deadline,
             watchdog,
         })
@@ -395,7 +358,7 @@ impl QueryService {
     /// let rows = vec![Record::new(vec![5.0.into(), "very good".into()])];
     /// let wh = Warehouse::load(&LoadPlan::from_star(star), &Table::from_rows(schema, rows)?)?;
     ///
-    /// let service = QueryService::new(wh, ServeConfig::default()).expect("workers spawn");
+    /// let service = QueryService::new(wh, ServeConfig::default()).expect("service starts");
     /// let request = QueryRequest::Report(ReportSpec::new().on_rows("FBG_Band").count());
     /// let served = service.execute(&request).unwrap();
     /// assert_eq!(served.source, ServedSource::Executed);
@@ -410,7 +373,7 @@ impl QueryService {
     /// Serve `request` on behalf of `session`, spending one token from
     /// the session's admission quota first. An empty bucket rejects
     /// with [`ServeError::QuotaExceeded`] before the request touches
-    /// the cache, the single-flight table or the queue — one chatty
+    /// the cache, the single-flight table or admission — one chatty
     /// session cannot convert its excess into [`ServeError::Overloaded`]
     /// for everyone else. Without a configured quota this is exactly
     /// [`Self::execute`].
@@ -428,10 +391,12 @@ impl QueryService {
         self.execute(request)
     }
 
-    /// Serve `request`, giving up (with
-    /// [`ServeError::DeadlineExceeded`]) once `deadline` elapses. An
-    /// abandoned execution still completes on its worker and populates
-    /// the cache for later callers.
+    /// Serve `request` within `deadline`, or fail with
+    /// [`ServeError::DeadlineExceeded`]. A follower stops waiting once
+    /// the deadline elapses. A leader has no cooperative cancellation:
+    /// it runs its execution to the end on this thread, publishes the
+    /// result to the cache for later callers, and then reports the
+    /// overrun.
     pub fn execute_with_deadline(
         &self,
         request: &QueryRequest,
@@ -458,7 +423,7 @@ impl QueryService {
         span.record("epoch", epoch);
 
         // Semantic admission gate: an invalid request never reaches
-        // the cache, the single-flight table or the worker queue.
+        // the cache, the single-flight table or admission.
         let diags = profile.time(Phase::Analyze, || request.analyze(&catalog));
         if diags.has_errors() {
             self.shared.metrics.record_rejected_invalid();
@@ -532,11 +497,49 @@ impl QueryService {
             }
         }
 
-        let key: CacheKey = (fingerprint, epoch);
+        self.serve_miss(
+            request,
+            (fingerprint, epoch),
+            &mut span,
+            profile,
+            start,
+            deadline,
+        )
+    }
 
-        let (flight, source) = match self.shared.flights.join(&key, span.context()) {
+    /// The miss path: coalesce onto an identical in-flight execution,
+    /// take a result published since the cache lookup, or lead the
+    /// execution on this thread.
+    fn serve_miss(
+        &self,
+        request: &QueryRequest,
+        key: CacheKey,
+        span: &mut SpanGuard,
+        profile: ProfileBuilder,
+        start: Instant,
+        deadline: Duration,
+    ) -> ServeResult<Served> {
+        let shared = &*self.shared;
+        let trace = span.context().map(|c| c.trace);
+        // The cache is re-checked under the flight-table lock: a leader
+        // that published and retired after this caller's lookup missed
+        // is served from the cache, not executed a second time.
+        let role = shared.flights.join(&key, span.context(), || {
+            shared
+                .cache
+                .get(&key.0)
+                .filter(|entry| entry.epoch >= key.1)
+                .map(|entry| entry.value)
+        });
+        let (outcome, source) = match role {
+            FlightRole::Published(value) => {
+                shared.metrics.record_hit();
+                span.record("source", "cache");
+                obs::event_with("serve.cache_hit", &[("epoch", &key.1)]);
+                (Ok(value), ServedSource::Cache)
+            }
             FlightRole::Follower(flight) => {
-                self.shared.metrics.record_coalesced();
+                shared.metrics.record_coalesced();
                 span.record("source", "coalesced");
                 // Link this request's trace to the leader's execution.
                 if let Some(leader) = flight.leader_context() {
@@ -544,55 +547,31 @@ impl QueryService {
                     span.record("link_span", leader.span.0);
                 }
                 obs::event("serve.coalesced");
-                (flight, ServedSource::Coalesced)
+                let remaining = deadline.saturating_sub(start.elapsed());
+                (flight.wait(remaining), ServedSource::Coalesced)
             }
             FlightRole::Leader(flight) => {
-                self.shared.metrics.record_miss();
+                shared.metrics.record_miss();
                 span.record("source", "executed");
-                let job = Job {
-                    request: request.clone(),
-                    key: key.clone(),
-                    flight: Arc::clone(&flight),
-                    ctx: span.context(),
-                    profile,
-                    queued_us: obs::monotonic_us(),
+                let outcome = self.lead(request, &key, &flight, trace, profile);
+                // No cooperative cancellation: the deadline is checked
+                // once the execution (and its publication) is done.
+                let outcome = match outcome {
+                    Ok(_) if start.elapsed() > deadline => Err(ServeError::DeadlineExceeded {
+                        deadline,
+                        trace: None,
+                    }),
+                    other => other,
                 };
-                let sender = self.sender.as_ref().ok_or(ServeError::ShuttingDown)?;
-                // A faulted hand-off behaves exactly like a full
-                // queue: typed rejection, nothing executed.
-                let sent = match fault::point("serve.enqueue") {
-                    Ok(()) => sender.try_send(job),
-                    Err(_) => Err(TrySendError::Full(job)),
-                };
-                if let Err(e) = sent {
-                    let error = match e {
-                        TrySendError::Full(_) => {
-                            self.shared.metrics.record_rejected();
-                            obs::event("serve.rejected_overload");
-                            ServeError::Overloaded {
-                                queue_depth: self.queue_depth,
-                                trace,
-                            }
-                        }
-                        TrySendError::Disconnected(_) => ServeError::ShuttingDown,
-                    };
-                    // Wake anyone who joined between insert and now,
-                    // then retire so the next caller starts fresh.
-                    flight.complete(Err(error.clone()));
-                    self.shared.flights.retire(&key);
-                    return Err(error);
-                }
-                (flight, ServedSource::Executed)
+                (outcome, ServedSource::Executed)
             }
         };
-
-        let remaining = deadline.saturating_sub(start.elapsed());
-        let value = flight.wait(remaining).map_err(|e| {
+        let value = outcome.map_err(|e| {
             if matches!(e, ServeError::DeadlineExceeded { .. }) {
-                self.shared.metrics.record_deadline_exceeded();
+                shared.metrics.record_deadline_exceeded();
                 // A blown deadline is an incident: promote the trace
                 // past the recorder's head sampling and capture what
-                // every worker was doing when this caller gave up.
+                // every execution was doing when this caller gave up.
                 obs::promote_trace();
                 obs::trigger_dump("serve.deadline_exceeded", trace);
                 // Report the caller's full deadline, not the residue
@@ -603,13 +582,47 @@ impl QueryService {
             }
         })?;
         let latency = start.elapsed();
-        self.shared.metrics.record_latency(latency);
+        shared.metrics.record_latency(latency);
         Ok(Served {
             value,
-            epoch,
+            epoch: key.1,
             source,
             latency,
         })
+    }
+
+    /// Lead `flight`: admit against the in-flight bound, execute on
+    /// this thread with any panic contained, then retire the flight and
+    /// complete it. A successful execution has already published to the
+    /// cache, so a caller arriving after the retire finds the result
+    /// there and never joins a completed flight.
+    fn lead(
+        &self,
+        request: &QueryRequest,
+        key: &CacheKey,
+        flight: &Flight,
+        trace: Option<TraceId>,
+        profile: ProfileBuilder,
+    ) -> ServeResult<Arc<QueryOutcome>> {
+        let shared = &*self.shared;
+        let admitted_us = obs::monotonic_us();
+        let outcome = if shared.in_flight.fetch_add(1, Ordering::Relaxed) >= self.max_in_flight {
+            shared.metrics.record_rejected();
+            obs::event("serve.rejected_overload");
+            Err(ServeError::Overloaded {
+                queue_depth: self.queue_depth,
+                trace,
+            })
+        } else {
+            catch_unwind(AssertUnwindSafe(|| {
+                execute_leader(shared, request, key, trace, profile, admitted_us)
+            }))
+            .unwrap_or_else(|payload| Err(contain_panic(shared, payload.as_ref(), trace)))
+        };
+        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+        shared.flights.retire(key);
+        flight.complete(outcome.clone());
+        outcome
     }
 
     /// Look up `fingerprint`, revalidating a stale entry against the
@@ -773,7 +786,7 @@ impl QueryService {
     /// Fold rows appended since the last compaction into fresh sealed
     /// segments using the default [`CompactionConfig`].
     ///
-    /// See [`Service::compact_now_with`] for the locking contract.
+    /// See [`Self::compact_now_with`] for the locking contract.
     pub fn compact_now(&self) -> ServeResult<bool> {
         self.compact_now_with(&CompactionConfig::default())
     }
@@ -794,7 +807,7 @@ impl QueryService {
         // Compaction registers as a bounded watchdog task: its span
         // path shows up in the folded profile and a wedged build (or
         // an install stuck behind the write lock) trips the stall
-        // detector like any worker.
+        // detector like any execution.
         let _watchdog_scope = obs::task_scope("warehouse.compact", Duration::from_secs(60));
         let mut span = obs::span("warehouse.compact");
         let plan = {
@@ -846,10 +859,11 @@ impl QueryService {
         obs::event_with("serve.reseeded", &[("epoch", &epoch)]);
     }
 
-    /// Jobs currently waiting in the admission queue — the router's
-    /// load signal for power-of-two-choices replica placement.
+    /// Executions in flight right now, each on its leader's thread —
+    /// the router's load signal for power-of-two-choices replica
+    /// placement.
     pub fn queue_len(&self) -> usize {
-        self.shared.receiver.len()
+        self.shared.in_flight.load(Ordering::Relaxed)
     }
 
     /// Run `f` against the live warehouse under the read lock.
@@ -906,12 +920,6 @@ impl QueryService {
         self.shared.cache.len()
     }
 
-    /// Worker threads currently alive. The pool respawns lost workers,
-    /// so after a contained panic this returns to the configured size.
-    pub fn workers_alive(&self) -> usize {
-        self.shared.workers_alive.load(Ordering::Acquire)
-    }
-
     /// The circuit breaker's current state.
     pub fn breaker_state(&self) -> BreakerState {
         self.shared.breaker.state()
@@ -922,8 +930,9 @@ impl QueryService {
         self.shared.cache.clear();
     }
 
-    /// Stop accepting work, drain the queue, join the workers and
-    /// return the final counters.
+    /// Stop accepting work, stop the watchdog and return the final
+    /// counters. Executions already running on their callers' threads
+    /// finish normally.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.drain();
         self.shared.metrics.snapshot()
@@ -931,28 +940,8 @@ impl QueryService {
 
     fn drain(&mut self) {
         self.shared.accepting.store(false, Ordering::Release);
-        // Dropping the sender disconnects the channel; workers finish
-        // the queued jobs, then exit on the disconnect.
-        self.sender = None;
-        join_workers(&self.shared);
-        // Stop the sampler last so worker wind-down is still observed.
         if let Some(watchdog) = self.watchdog.take() {
             watchdog.shutdown();
-        }
-    }
-}
-
-/// Join every registered worker, including replacements registered
-/// while joining (a dying worker pushes its replacement's handle
-/// before exiting, so the loop always converges).
-fn join_workers(shared: &Arc<Shared>) {
-    loop {
-        let handle = shared.worker_handles.lock().pop();
-        match handle {
-            Some(handle) => {
-                let _ = handle.join();
-            }
-            None => break,
         }
     }
 }
@@ -963,147 +952,49 @@ impl Drop for QueryService {
     }
 }
 
-/// Spawn one pool worker (fallibly — the `serve.spawn` failpoint
-/// stands in for OS thread exhaustion in tests).
-fn spawn_worker(shared: &Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
-    fault::point("serve.spawn").map_err(|e| std::io::Error::other(e.to_string()))?;
-    let index = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("serve-worker-{index}"))
-        .spawn(move || run_worker(&shared))
-}
-
-/// Worker thread body: run the job loop, contain any panic that
-/// escapes it, and self-heal by spawning a replacement. The pool
-/// only shrinks when a respawn itself fails — and even then the
-/// service degrades instead of aborting.
-fn run_worker(shared: &Arc<Shared>) {
-    shared.workers_alive.fetch_add(1, Ordering::AcqRel);
-    shared.metrics.add_workers_alive(1);
-    // Publish this worker into the watchdog's active-task table for
-    // the thread's lifetime: span opens/closes and ranked-lock traffic
-    // update the slot passively from here on.
-    let worker_name = thread::current()
-        .name()
-        .map(str::to_string)
-        .unwrap_or_else(|| "serve-worker".to_string());
-    let _watchdog_slot = obs::register_worker(&worker_name, shared.stall_budget);
-    let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(shared)));
-    if outcome.is_err() {
-        shared.metrics.record_worker_panic();
-        obs::event("serve.worker_panicked");
-        // A thread-level panic (not job containment) is an incident:
-        // snapshot the ring before the respawn muddies the water.
-        obs::trigger_dump("serve.worker_panic", None);
-        if shared.accepting.load(Ordering::Acquire) {
-            match spawn_worker(shared) {
-                Ok(handle) => {
-                    shared.metrics.record_worker_respawned();
-                    obs::event("serve.worker_respawned");
-                    shared.worker_handles.lock().push(handle);
-                }
-                Err(e) => {
-                    shared.metrics.record_worker_respawn_failed();
-                    obs::event_with(
-                        "serve.worker_respawn_failed",
-                        &[("error", &e.to_string().as_str())],
-                    );
-                }
-            }
-        }
-    }
-    shared.workers_alive.fetch_sub(1, Ordering::AcqRel);
-    shared.metrics.add_workers_alive(-1);
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        // Thread-death drill: a panic-mode `serve.worker` fault kills
-        // the thread *between* jobs, so the queued job survives in the
-        // channel and the respawned worker picks it up — the caller is
-        // still served. (Error mode is meaningless here; ignore it.)
-        let _ = fault::point("serve.worker");
-        let Ok(job) = shared.receiver.recv() else {
-            break;
-        };
-        // Queue waits between spans count as liveness, not a stall.
-        obs::heartbeat();
-        // A panic inside one job is contained to that job: the caller
-        // gets a typed Internal error carrying the trace id, the
-        // worker thread lives on. The flight handle is cloned out
-        // first — the job itself is consumed by the unwound closure.
-        let key = job.key.clone();
-        let flight = Arc::clone(&job.flight);
-        let trace = job.ctx.map(|c| c.trace);
-        let done = catch_unwind(AssertUnwindSafe(move || process_job(shared, job)));
-        if let Err(payload) = done {
-            let detail = panic_detail(payload.as_ref());
-            shared.metrics.record_worker_panic();
-            obs::event_with("serve.job_panicked", &[("detail", &detail.as_str())]);
-            record_breaker_failure(shared, trace);
-            shared.flights.retire(&key);
-            flight.complete(Err(ServeError::Internal { detail, trace }));
-        }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker panicked: {s}")
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
-fn process_job(shared: &Shared, mut job: Job) {
-    // The execution span is a child of the admitting request's
-    // span: the trace id crosses the worker-thread boundary.
-    let mut exec_span = obs::span_child_of("serve.execute", job.ctx);
-    if let Some(delay) = shared.execution_delay {
-        thread::sleep(delay);
-    }
-    // Queue wait is measured after any artificial delay so that
-    // deliberate stalls are attributed to queueing, not execution.
-    job.profile.record_us(
-        Phase::Queue,
-        obs::monotonic_us().saturating_sub(job.queued_us),
-    );
+/// The leader's execution, on the caller's thread. `Phase::Queue` runs
+/// from admission to the start of the scan, so it covers the
+/// warehouse-read retries and the `serve.execute` failpoint; the scan
+/// then runs under a read snapshot, and a success is published to the
+/// cache before this returns.
+fn execute_leader(
+    shared: &Shared,
+    request: &QueryRequest,
+    key: &CacheKey,
+    trace: Option<TraceId>,
+    mut profile: ProfileBuilder,
+    admitted_us: u64,
+) -> ServeResult<Arc<QueryOutcome>> {
+    // A bounded watchdog task: the sampler folds this execution's span
+    // path into its profile and declares it stalled past the budget.
+    let _watchdog_scope = obs::task_scope("serve.execute", shared.stall_budget);
+    let mut exec_span = obs::span("serve.execute");
     // Transient warehouse-read faults retry with backoff before the
     // request fails (and counts against the breaker).
     let (read_ok, read_retries) = shared.retry.run(|| fault::point("serve.warehouse_read"));
     if read_retries > 0 {
         shared.metrics.record_retries(u64::from(read_retries));
     }
-    if let Err(e) = read_ok {
-        fail_job_internal(shared, &job, &mut exec_span, e.to_string());
-        return;
-    }
     // An error-mode execution fault fails this request; panic mode
-    // exercises the per-job containment in `worker_loop`.
-    if let Err(e) = fault::point("serve.execute") {
-        fail_job_internal(shared, &job, &mut exec_span, e.to_string());
-        return;
+    // exercises the containment in `QueryService::lead`.
+    let ready = read_ok.and_then(|()| fault::point("serve.execute"));
+    profile.record_us(
+        Phase::Queue,
+        obs::monotonic_us().saturating_sub(admitted_us),
+    );
+    if let Err(e) = ready {
+        return Err(fail_internal(shared, &mut exec_span, trace, e.to_string()));
     }
     let wh = shared.warehouse.read();
     // A mutation may have landed since admission: execute against
     // (and publish under) the epoch actually visible now.
     let exec_epoch = wh.epoch();
     exec_span.record("epoch", exec_epoch);
-    let outcome = job
-        .request
-        .execute_profiled_retaining(&wh, &mut job.profile);
+    let outcome = request.execute_profiled_retaining(&wh, &mut profile);
     drop(wh);
-    // Publish to the cache, then retire the flight, then wake the
-    // waiters — in that order. New arrivals after the retire must
-    // find the result in the cache (or lead a fresh flight); they
-    // must never join a flight that has already completed.
     match outcome {
         Ok((payload, retained_cube)) => {
-            let profile = job.profile.finish();
+            let profile = profile.finish();
             exec_span.record("rows_scanned", profile.rows_scanned);
             exec_span.record("cells_emitted", profile.cells_emitted);
             exec_span.record("morsels", profile.morsels_executed);
@@ -1121,14 +1012,13 @@ fn process_job(shared: &Shared, mut job: Job) {
             });
             shared.metrics.record_executed();
             shared.cache.insert(
-                job.key.0.clone(),
+                key.0.clone(),
                 exec_epoch,
                 Arc::clone(&value),
                 retained_cube.map(Arc::new),
             );
             shared.breaker.record_success();
-            shared.flights.retire(&job.key);
-            job.flight.complete(Ok(value));
+            Ok(value)
         }
         Err(e) => {
             // A query-level failure is the query's own problem, not a
@@ -1138,17 +1028,38 @@ fn process_job(shared: &Shared, mut job: Job) {
             obs::promote_trace();
             shared.metrics.record_failed();
             exec_span.record("outcome", "failed");
-            shared.flights.retire(&job.key);
-            job.flight.complete(Err(ServeError::Query(e)));
+            Err(ServeError::Query(e))
         }
     }
+}
+
+/// Turn a panic that escaped a leader's execution into a typed
+/// `Internal` error carrying the trace id, counted as a panic and
+/// against the breaker. The caller's thread lives on.
+fn contain_panic(
+    shared: &Shared,
+    payload: &(dyn Any + Send),
+    trace: Option<TraceId>,
+) -> ServeError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned());
+    let detail = match message {
+        Some(message) => format!("execution panicked: {message}"),
+        None => "execution panicked".to_string(),
+    };
+    shared.metrics.record_worker_panic();
+    obs::event_with("serve.execution_panicked", &[("detail", &detail.as_str())]);
+    record_breaker_failure(shared, trace);
+    ServeError::Internal { detail, trace }
 }
 
 /// Count one execution failure against the breaker; on the trip edge
 /// (this failure opened it) fire the breaker-opened event and snapshot
 /// the flight recorder with the triggering request's trace front and
 /// center.
-fn record_breaker_failure(shared: &Shared, trace: Option<obs::TraceId>) {
+fn record_breaker_failure(shared: &Shared, trace: Option<TraceId>) {
     if shared.breaker.record_failure() {
         // Attribute the trip to this failure domain at the epoch it
         // had applied when it tripped: the event lands in the ring
@@ -1194,23 +1105,22 @@ fn publish_change(shared: &Shared, change: &WarehouseChange, epoch: u64) {
     }
 }
 
-/// Fail `job` with a typed internal error and count the failure
-/// against the circuit breaker.
-fn fail_job_internal(shared: &Shared, job: &Job, exec_span: &mut obs::SpanGuard, detail: String) {
+/// Fail the leader's execution with a typed internal error, counted
+/// against the circuit breaker before the flight completes.
+fn fail_internal(
+    shared: &Shared,
+    exec_span: &mut SpanGuard,
+    trace: Option<TraceId>,
+    detail: String,
+) -> ServeError {
     // Promote before anything else so the execution span, the failure
     // event, and any breaker-trip dump all carry this trace.
     obs::promote_trace();
     shared.metrics.record_failed();
     exec_span.record("outcome", "internal_failure");
     obs::event_with("serve.internal_failure", &[("detail", &detail.as_str())]);
-    // Breaker first, completion last: a caller woken by `complete`
-    // must observe the failure it was just handed already counted.
-    record_breaker_failure(shared, job.ctx.map(|c| c.trace));
-    shared.flights.retire(&job.key);
-    job.flight.complete(Err(ServeError::Internal {
-        detail,
-        trace: job.ctx.map(|c| c.trace),
-    }));
+    record_breaker_failure(shared, trace);
+    ServeError::Internal { detail, trace }
 }
 
 /// Clone `cube` and fold the delta chain's appended rows into it,
@@ -1297,6 +1207,44 @@ mod tests {
     }
 
     #[test]
+    fn a_result_published_after_the_lookup_is_served_not_re_executed() {
+        // The race: a caller's cache lookup misses, then a leader
+        // publishes and retires before the caller reaches the flight
+        // table. Replay it from the miss path, with the entry already
+        // published and no flight left open.
+        let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
+        let request = fbg_by_band();
+        let key: CacheKey = (request.fingerprint().unwrap(), svc.epoch());
+        let published = Arc::new(QueryOutcome::pivot(olap::PivotTable {
+            row_axis: "FBG_Band".into(),
+            col_axis: String::new(),
+            row_headers: vec![],
+            col_headers: vec![],
+            cells: vec![],
+        }));
+        svc.shared
+            .cache
+            .insert(key.0.clone(), key.1, Arc::clone(&published), None);
+        assert_eq!(svc.shared.flights.in_flight(), 0);
+
+        let mut span = obs::span("test.miss");
+        let late = svc
+            .serve_miss(
+                &request,
+                key,
+                &mut span,
+                ProfileBuilder::start(),
+                Instant::now(),
+                Duration::from_secs(5),
+            )
+            .unwrap();
+        assert_eq!(late.source, ServedSource::Cache);
+        assert!(Arc::ptr_eq(&late.value, &published));
+        let m = svc.metrics();
+        assert_eq!((m.executed, m.misses, m.hits), (0, 0, 1));
+    }
+
+    #[test]
     fn out_of_footprint_mutation_reuses_across_epochs() {
         let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
         let before = svc.execute(&fbg_by_band()).unwrap();
@@ -1376,7 +1324,7 @@ mod tests {
             }
             other => panic!("expected Invalid, got {other:?}"),
         }
-        // Nothing was queued, executed or cached; the service still
+        // Nothing was admitted, executed or cached; the service still
         // works afterwards.
         assert!(svc.execute(&fbg_by_band()).is_ok());
         let m = svc.metrics();

@@ -25,7 +25,7 @@ fn main() -> clinical_types::Result<()> {
             queue_depth: 64,
             ..ServeConfig::default()
         })
-        .expect("workers spawn");
+        .expect("service starts");
 
     // The query mix: Fig. 5's distribution (MDX), a Fig. 4-style
     // report, and a cube materialisation.
@@ -55,7 +55,7 @@ fn main() -> clinical_types::Result<()> {
     let halfway = Barrier::new(CLIENTS + 1);
     let resumed = Barrier::new(CLIENTS + 1);
 
-    println!("serving {CLIENTS} clients × {ROUNDS} requests over 4 workers…");
+    println!("serving {CLIENTS} clients × {ROUNDS} requests, each on its own thread…");
     thread::scope(|s| {
         for client in 0..CLIENTS {
             let service = &service;

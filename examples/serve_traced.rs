@@ -5,8 +5,8 @@
 //! concurrent requests (with an artificial execution delay so
 //! coalescing is visible), then prints:
 //!
-//! 1. the leader's span tree — admission on the client thread, the
-//!    execution span on a worker thread, the cube build inside it;
+//! 1. the leader's span tree — admission and the execution span on the
+//!    client's own thread, the cube build inside it;
 //! 2. a coalesced follower's span with its `link_trace` back to the
 //!    leader;
 //! 3. the `EXPLAIN ANALYZE`-style query profile attached to the
@@ -21,6 +21,7 @@
 
 use dd_dgms::DdDgms;
 use discri::{generate, CohortConfig};
+use fault::{FaultKind, Trigger};
 use obs::{render_trace, RingCollector};
 use serve::{QueryRequest, ServeConfig, ServedSource};
 use std::sync::Arc;
@@ -38,15 +39,19 @@ fn main() -> clinical_types::Result<()> {
 
     let cohort = generate(&CohortConfig::small(7));
     let system = DdDgms::from_raw_attendances(&cohort.attendances)?;
+    // Slow executions down so concurrent identical queries visibly
+    // coalesce onto one leader.
+    let slow = fault::arm(
+        "serve.execute",
+        Trigger::Always,
+        FaultKind::Delay(Duration::from_millis(25)),
+    );
     let service = system
         .serve(ServeConfig {
             workers: 1,
-            // Slow executions down so concurrent identical queries
-            // visibly coalesce onto one leader.
-            execution_delay: Some(Duration::from_millis(25)),
             ..ServeConfig::default()
         })
-        .expect("workers spawn");
+        .expect("service starts");
 
     // 2. Four clients fire the same query at once: one leads, the
     // rest coalesce onto its in-flight execution.
@@ -58,6 +63,8 @@ fn main() -> clinical_types::Result<()> {
             s.spawn(move || service.execute(request).expect("serve"));
         }
     });
+
+    drop(slow);
 
     // 3. A warm repeat: served from the epoch-keyed cache, carrying
     // the profile of the execution that produced it.

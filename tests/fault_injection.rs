@@ -2,12 +2,13 @@
 //! store, the warehouse loader, and the serving layer.
 //!
 //! Every test here injects a failure — a torn WAL tail, an I/O error
-//! mid-append, a worker panic, a thread that cannot be spawned — and
-//! asserts the *graceful* outcome the design promises: recovery keeps
-//! every record before the tear, the previous epoch stays queryable,
-//! the pool heals back to full size, and the circuit breaker degrades
-//! to stale-but-marked answers instead of erroring, then closes again
-//! once probes succeed. No drill may abort the process.
+//! mid-append, a panicking execution — and asserts the *graceful*
+//! outcome the design promises: recovery keeps every record before the
+//! tear, the previous epoch stays queryable, a panic comes back to its
+//! callers as a typed error and hands back its admission slot, and the
+//! circuit breaker degrades to stale-but-marked answers instead of
+//! erroring, then closes again once probes succeed. No drill may abort
+//! the process.
 //!
 //! Failpoint state is process-global, so every test that arms a
 //! failpoint serialises on `fault::test_support::fault_lock()`.
@@ -17,10 +18,13 @@ use fault::{FaultKind, Trigger};
 use oltp::DurableStore;
 use proptest::prelude::*;
 use serve::{
-    BreakerState, QueryRequest, QueryService, ReportSpec, RetryPolicy, ServeConfig, ServedSource,
+    BreakerState, QueryRequest, QueryService, ReportSpec, RetryPolicy, ServeConfig, ServeError,
+    ServeResult, Served, ServedSource,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::Barrier;
+use std::thread;
+use std::time::Duration;
 use warehouse::{DimensionDef, FactDef, LoadPlan, StarSchema, Warehouse};
 
 // ---------------------------------------------------------------- helpers
@@ -61,16 +65,42 @@ fn service(config: ServeConfig) -> QueryService {
     QueryService::new(small_warehouse(), config).unwrap()
 }
 
-/// Poll `cond` every 5ms until it holds or `deadline` passes.
-fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let t0 = Instant::now();
-    while t0.elapsed() < deadline {
-        if cond() {
-            return true;
+/// A report whose fingerprint differs for every `i`, so concurrent
+/// callers each need an execution of their own.
+fn distinct(i: usize) -> QueryRequest {
+    QueryRequest::Report(
+        ReportSpec::new()
+            .on_rows("FBG_Band")
+            .where_measure_between("FBG", 0.0, 100.0 + i as f64)
+            .count(),
+    )
+}
+
+/// Fire `requests` from one thread each, released together.
+fn concurrently(svc: &QueryService, requests: &[QueryRequest]) -> Vec<ServeResult<Served>> {
+    let barrier = Barrier::new(requests.len());
+    thread::scope(|s| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|request| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    svc.execute(request)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+fn assert_panicked(result: &ServeResult<Served>) {
+    match result {
+        Err(ServeError::Internal { detail, .. }) => {
+            assert!(detail.contains("panicked"), "unexpected detail: {detail}");
         }
-        std::thread::sleep(Duration::from_millis(5));
+        other => panic!("expected a contained panic, got {other:?}"),
     }
-    cond()
 }
 
 fn wal_path(tag: &str) -> std::path::PathBuf {
@@ -185,41 +215,34 @@ fn append_fault_leaves_previous_epoch_queryable() {
     svc.shutdown();
 }
 
-// --------------------------------------------- serve: worker self-healing
+// ------------------------------------ serve: panics contained on the caller
 
+/// Executions run on their callers' threads, so there is no worker
+/// thread to lose: a panic unwinds to the leader's `catch_unwind` and
+/// the service is back at full capacity for the next request.
 #[test]
 fn worker_thread_death_heals_back_to_full_pool_size() {
     let _lock = fault::test_support::fault_lock();
     let svc = service(ServeConfig {
-        workers: 2,
+        workers: 1,
+        queue_depth: 1,
+        breaker_threshold: 100, // isolate panic containment from the breaker
         ..ServeConfig::default()
     });
-    // Spawned threads increment the live count as they start.
-    assert!(wait_until(Duration::from_secs(5), || svc.workers_alive() == 2));
-
-    // `serve.worker` sits at the top of the worker loop: the worker
-    // that finishes this job dies on its next iteration, after the
-    // caller already has its answer.
-    let _fault = fault::arm("serve.worker", Trigger::Once, FaultKind::Panic);
+    {
+        let _fault = fault::arm("serve.execute", Trigger::Always, FaultKind::Panic);
+        // More panics than the service has admission slots: a slot
+        // leaked by a panic would turn a later one into `Overloaded`.
+        for _ in 0..3 {
+            assert_panicked(&svc.execute(&count_by_band()));
+        }
+    }
+    assert_eq!(svc.queue_len(), 0, "every admission slot came back");
     let served = svc.execute(&count_by_band()).unwrap();
     assert_eq!(served.source, ServedSource::Executed);
-
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            let m = svc.metrics();
-            m.worker_panics >= 1 && m.worker_respawned >= 1 && svc.workers_alive() == 2
-        }),
-        "pool did not heal: {} alive, metrics {}",
-        svc.workers_alive(),
-        svc.metrics()
-    );
-
-    // The healed pool still serves.
-    svc.clear_cache();
-    let again = svc.execute(&count_by_band()).unwrap();
-    assert_eq!(again.source, ServedSource::Executed);
     let m = svc.shutdown();
-    assert_eq!(m.worker_respawn_failed, 0);
+    assert!(m.worker_panics >= 3, "{m}");
+    assert_eq!(m.rejected, 0);
 }
 
 #[test]
@@ -240,55 +263,104 @@ fn job_panic_is_contained_to_a_typed_error() {
             err.to_string().contains("panicked"),
             "unexpected error: {err}"
         );
-        // Per-job containment: the worker that caught the panic is
-        // still in its loop, not dead and respawned.
-        assert!(wait_until(Duration::from_secs(5), || svc.workers_alive() == 2));
+        assert!(matches!(err, ServeError::Internal { .. }), "{err:?}");
     }
 
     let served = svc.execute(&count_by_band()).unwrap();
     assert_eq!(served.source, ServedSource::Executed);
     let m = svc.shutdown();
     assert!(m.worker_panics >= 1);
-    assert_eq!(m.worker_respawned, 0, "job panics must not kill threads");
 }
 
+/// Construction starts no serving thread, so it has nothing to fail on:
+/// with the execution path broken, `new` still succeeds and the failure
+/// surfaces as a typed error on the first request instead.
 #[test]
 fn spawn_failure_at_construction_is_a_typed_error() {
     let _lock = fault::test_support::fault_lock();
-    let _fault = fault::arm("serve.spawn", Trigger::Always, FaultKind::Error);
-    let err = QueryService::new(small_warehouse(), ServeConfig::default())
-        .err()
-        .expect("construction must fail when no worker can spawn");
+    let _fault = fault::arm("serve.execute", Trigger::Always, FaultKind::Error);
+    let svc = QueryService::new(small_warehouse(), ServeConfig::default())
+        .expect("construction spawns no serving thread");
+    let err = svc
+        .execute(&count_by_band())
+        .expect_err("the broken execution path must fail the request");
     assert!(
         err.to_string().contains("internal serving failure"),
         "unexpected error: {err}"
     );
 }
 
+/// Panics never shrink the service: after every admission slot has
+/// hosted a panicking execution at once, all of them can still run at
+/// once.
 #[test]
 fn respawn_failure_degrades_to_a_smaller_pool_that_still_serves() {
+    const WORKERS: usize = 2;
+    const QUEUE_DEPTH: usize = 2;
+    let _lock = fault::test_support::fault_lock();
+    let svc = service(ServeConfig {
+        workers: WORKERS,
+        queue_depth: QUEUE_DEPTH,
+        breaker_threshold: 100,
+        ..ServeConfig::default()
+    });
+    let requests: Vec<QueryRequest> = (0..WORKERS + QUEUE_DEPTH).map(distinct).collect();
+    // The delay holds every execution open until all are in flight.
+    let _slow = fault::arm(
+        "serve.warehouse_read",
+        Trigger::Always,
+        FaultKind::Delay(Duration::from_millis(50)),
+    );
+    {
+        let _fault = fault::arm("serve.execute", Trigger::Always, FaultKind::Panic);
+        for result in concurrently(&svc, &requests) {
+            assert_panicked(&result);
+        }
+    }
+    for result in concurrently(&svc, &requests) {
+        assert_eq!(result.unwrap().source, ServedSource::Executed);
+    }
+    let m = svc.shutdown();
+    assert_eq!(m.worker_panics, (WORKERS + QUEUE_DEPTH) as u64);
+    assert_eq!(m.rejected, 0, "no admission slot was lost to a panic");
+}
+
+/// A panicking leader completes its flight with the error, so every
+/// caller coalesced onto it gets `Internal` at once — not a deadline —
+/// and the breaker counts one failure, not one per caller.
+#[test]
+fn followers_of_a_panicking_leader_all_get_internal() {
+    const CALLERS: usize = 4;
     let _lock = fault::test_support::fault_lock();
     let svc = service(ServeConfig {
         workers: 2,
+        breaker_threshold: 2,
+        retry: RetryPolicy::none(),
         ..ServeConfig::default()
     });
-
-    // One worker dies; the replacement spawn fails. The pool must shrink
-    // to 1, count the failure, and keep serving — never abort.
-    let _die = fault::arm("serve.worker", Trigger::Once, FaultKind::Panic);
-    let _no_spawn = fault::arm("serve.spawn", Trigger::Always, FaultKind::Error);
-    svc.execute(&count_by_band()).unwrap();
-
-    assert!(
-        wait_until(Duration::from_secs(5), || {
-            svc.metrics().worker_respawn_failed >= 1 && svc.workers_alive() == 1
-        }),
-        "respawn failure not recorded: {} alive, metrics {}",
-        svc.workers_alive(),
-        svc.metrics()
+    {
+        // The delay keeps the leader's flight open until every caller
+        // has joined it; then the execution panics.
+        let _slow = fault::arm(
+            "serve.warehouse_read",
+            Trigger::Always,
+            FaultKind::Delay(Duration::from_millis(200)),
+        );
+        let _fault = fault::arm("serve.execute", Trigger::Always, FaultKind::Panic);
+        let requests = vec![count_by_band(); CALLERS];
+        for result in concurrently(&svc, &requests) {
+            assert_panicked(&result);
+        }
+    }
+    let m = svc.metrics();
+    assert_eq!(m.worker_panics, 1, "one leader executed: {m}");
+    assert_eq!(m.coalesced as usize, CALLERS - 1, "{m}");
+    assert_eq!(m.deadline_exceeded, 0);
+    assert_eq!(
+        svc.breaker_state(),
+        BreakerState::Closed,
+        "one failure against a threshold of two"
     );
-
-    svc.clear_cache();
     let served = svc.execute(&count_by_band()).unwrap();
     assert_eq!(served.source, ServedSource::Executed);
     svc.shutdown();

@@ -5,7 +5,7 @@
 //! The acceptance drill of record: trip the circuit breaker with
 //! injected execution faults and assert the recorder produced a
 //! self-contained black-box dump carrying the triggering query's
-//! trace id, every worker's span path, and the failpoint evaluations
+//! trace id, every executing request's span path, and the failpoint evaluations
 //! that caused the trip — then render it with `analyze`'s reader.
 //!
 //! Recorder and subscriber state is process-global, so every test
@@ -83,7 +83,7 @@ fn install_capture_all_recorder() -> Arc<FlightRecorder> {
 
 /// The acceptance criterion: a breaker trip in the degraded-mode drill
 /// produces a black box whose header carries the triggering query's
-/// trace id, whose thread table shows the worker pool's span paths,
+/// trace id, whose thread table shows the executing request's span path,
 /// and which `analyze::render_black_box` renders without error.
 #[test]
 fn breaker_open_dumps_a_black_box_with_the_triggering_trace() {
@@ -114,11 +114,10 @@ fn breaker_open_dumps_a_black_box_with_the_triggering_trace() {
     assert_eq!(dump.trigger, "serve.breaker_open");
     let trace = dump.trace.expect("dump carries the triggering trace id");
 
-    // The worker pool is visible in the thread table.
+    // Each execution runs on its caller's thread inside a
+    // `serve.execute` watchdog task scope, visible in the thread table.
     assert!(
-        dump.threads
-            .iter()
-            .any(|t| t.worker.starts_with("serve-worker-")),
+        dump.threads.iter().any(|t| t.worker == "serve.execute"),
         "threads: {:?}",
         dump.threads
     );
@@ -131,13 +130,13 @@ fn breaker_open_dumps_a_black_box_with_the_triggering_trace() {
         "failpoint hits must be captured"
     );
     // The triggering request is still in flight when the trip dumps,
-    // so its spans are open — the trace shows up as the executing
-    // worker's published state, not as closed span records.
+    // so its spans are open — the trace shows up as its task scope's
+    // published state, not as closed span records.
     assert!(
         dump.threads
             .iter()
             .any(|t| t.trace == Some(trace) && t.path.contains("serve.execute")),
-        "a worker must be executing the triggering trace: {:?}",
+        "the triggering trace must be executing: {:?}",
         dump.threads
     );
     // Earlier (completed) failing requests left closed spans behind:
@@ -157,7 +156,10 @@ fn breaker_open_dumps_a_black_box_with_the_triggering_trace() {
     let report = analyze::render_black_box(&jsonl).expect("renders without error");
     assert!(report.contains("trigger : serve.breaker_open"));
     assert!(report.contains(&format!("trace   : {}", trace.0)));
-    assert!(report.contains("serve-worker-"));
+    assert!(
+        report.contains(&format!("  {:<20} serve.execute", "serve.execute")),
+        "the thread table must show the execution's task scope:\n{report}"
+    );
     assert!(report.contains("serve.execute: FIRED"));
 
     svc.shutdown();
@@ -203,21 +205,26 @@ fn manual_dump_captures_held_lock_ranks() {
 
 // ------------------------------------------------- watchdog stall drill
 
-/// A worker sleeping past its stall budget with a query in flight is
-/// caught by the sampling watchdog: one `obs.stall` event and one
-/// `watchdog.stall` black box per episode.
+/// An execution sleeping past its stall budget is caught by the
+/// sampling watchdog: one `obs.stall` event and one `watchdog.stall`
+/// black box per episode.
 #[test]
 fn stalled_worker_trips_the_watchdog_and_dumps() {
     let _tracing = obs::test_support::tracing_lock();
+    let _faults = fault::test_support::fault_lock();
     let recorder = install_fresh_recorder();
 
+    // The delay stalls execution well past the (deliberately tiny)
+    // budget while the watchdog samples.
+    let _slow = fault::arm(
+        "serve.execute",
+        Trigger::Always,
+        FaultKind::Delay(Duration::from_millis(120)),
+    );
     let svc = QueryService::new(
         small_warehouse(),
         ServeConfig {
             workers: 1,
-            // The artificial delay stalls execution well past the
-            // (deliberately tiny) budget while the watchdog samples.
-            execution_delay: Some(Duration::from_millis(120)),
             worker_stall_budget: Duration::from_millis(10),
             watchdog_interval: Duration::from_millis(5),
             ..ServeConfig::default()

@@ -1,11 +1,14 @@
-//! End-to-end observability: span trees across the serving worker
-//! pool, coalesced-request trace links, profile phase accounting and
-//! JSONL export round-trips.
+//! End-to-end observability: span trees through the serving layer,
+//! coalesced-request trace links, profile phase accounting and JSONL
+//! export round-trips.
 //!
 //! Tests that install the process-global subscriber serialise on
-//! `obs::test_support::tracing_lock()`.
+//! `obs::test_support::tracing_lock()`. Every test also holds
+//! `fault::test_support::fault_lock()` (after the tracing lock), since
+//! some slow executions down with a process-global failpoint.
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table};
+use fault::{FaultKind, Trigger};
 use obs::test_support::{rooted_trace, tracing_lock};
 use obs::{parse_jsonl, render_trace, RingCollector, SpanRecord, TraceId};
 use serve::{QueryRequest, QueryService, ReportSpec, ServeConfig, ServedSource};
@@ -39,16 +42,25 @@ fn fbg_by_band() -> QueryRequest {
     QueryRequest::Report(ReportSpec::new().on_rows("FBG_Band").count())
 }
 
-fn slow_service(workers: usize, delay_ms: u64) -> QueryService {
+fn service(workers: usize) -> QueryService {
     QueryService::new(
         small_warehouse(),
         ServeConfig {
             workers,
-            execution_delay: Some(Duration::from_millis(delay_ms)),
             ..ServeConfig::default()
         },
     )
     .unwrap()
+}
+
+/// Every execution sleeps `delay_ms` at the `serve.execute` failpoint
+/// until the guard drops, so concurrent identical requests overlap.
+fn delay_executions(delay_ms: u64) -> fault::FaultGuard {
+    fault::arm(
+        "serve.execute",
+        Trigger::Always,
+        FaultKind::Delay(Duration::from_millis(delay_ms)),
+    )
 }
 
 fn request_spans(spans: &[SpanRecord]) -> Vec<&SpanRecord> {
@@ -58,22 +70,28 @@ fn request_spans(spans: &[SpanRecord]) -> Vec<&SpanRecord> {
 #[test]
 fn execution_span_joins_the_leaders_trace_across_threads() {
     let _guard = tracing_lock();
+    let _faults = fault::test_support::fault_lock();
     let collector = Arc::new(RingCollector::new(1024));
     obs::install(collector.clone());
 
-    // One worker + a deliberate execution delay: concurrent identical
-    // requests deterministically coalesce onto one in-flight leader.
-    let svc = slow_service(1, 60);
-    // Each caller roots its own trace, so what the collector hears
-    // from sibling tests (which trace without the lock) can be told
-    // apart from what these four requests emitted.
+    // A deliberate execution delay: concurrent identical requests
+    // deterministically coalesce onto one in-flight leader.
+    let _slow = delay_executions(60);
+    let svc = service(1);
+    // Each caller runs on its own named thread and roots its own
+    // trace, so what the collector hears from sibling tests (which
+    // trace without the lock) can be told apart from what these four
+    // requests emitted.
     let (sources, traces): (Vec<ServedSource>, Vec<TraceId>) = thread::scope(|s| {
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                s.spawn(|| {
-                    let (_root, trace) = rooted_trace().unwrap();
-                    (svc.execute(&fbg_by_band()).unwrap().source, trace)
-                })
+            .map(|i| {
+                thread::Builder::new()
+                    .name(format!("caller-{i}"))
+                    .spawn_scoped(s, || {
+                        let (_root, trace) = rooted_trace().unwrap();
+                        (svc.execute(&fbg_by_band()).unwrap().source, trace)
+                    })
+                    .unwrap()
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).unzip()
@@ -108,13 +126,14 @@ fn execution_span_joins_the_leaders_trace_across_threads() {
     assert_eq!(execs.len(), 1, "one execution for four requests");
     let exec = execs[0];
 
-    // The worker's execution span carries the leader's trace id and
-    // parents onto the leader's request span, across the thread hop.
+    // The execution runs on the leader's own thread, as a child of
+    // its request span in the leader's trace.
     assert_eq!(exec.trace, leader.trace);
     assert_eq!(exec.parent, Some(leader.id));
-    assert_ne!(
+    assert!(leader.thread.starts_with("caller-"), "{}", leader.thread);
+    assert_eq!(
         exec.thread, leader.thread,
-        "execution must run on a worker thread"
+        "execution must run on the leader's thread"
     );
 
     // Coalesced followers are distinct traces that link to the leader.
@@ -152,7 +171,9 @@ fn execution_span_joins_the_leaders_trace_across_threads() {
 
 #[test]
 fn served_profiles_account_for_the_full_latency() {
-    let svc = slow_service(2, 40);
+    let _faults = fault::test_support::fault_lock();
+    let _slow = delay_executions(40);
+    let svc = service(2);
     let served = svc.execute(&fbg_by_band()).unwrap();
     svc.shutdown();
 
@@ -161,8 +182,8 @@ fn served_profiles_account_for_the_full_latency() {
     assert!(profile.rows_scanned > 0, "{profile}");
     assert!(profile.cells_emitted > 0, "{profile}");
 
-    // The artificial 40ms stall is attributed to queueing, not to the
-    // execution phases.
+    // The artificial 40ms stall sits between admission and the scan,
+    // so it is attributed to queueing, not to the execution phases.
     assert!(
         profile.phase_us(obs::Phase::Queue) >= 35_000,
         "queue phase must absorb the execution delay: {profile}"
@@ -181,10 +202,12 @@ fn served_profiles_account_for_the_full_latency() {
 #[test]
 fn traces_round_trip_through_jsonl() {
     let _guard = tracing_lock();
+    let _faults = fault::test_support::fault_lock();
     let collector = Arc::new(RingCollector::new(1024));
     obs::install(collector.clone());
 
-    let svc = slow_service(2, 5);
+    let _slow = delay_executions(5);
+    let svc = service(2);
     svc.execute(&fbg_by_band()).unwrap();
     svc.execute(&fbg_by_band()).unwrap(); // warm: fires serve.cache_hit
     svc.shutdown();
@@ -206,11 +229,12 @@ fn traces_round_trip_through_jsonl() {
 #[test]
 fn disabled_subscriber_records_zero_events() {
     let _guard = tracing_lock();
+    let _faults = fault::test_support::fault_lock();
     obs::uninstall();
 
     // No subscriber: the service runs untraced.
     let collector = Arc::new(RingCollector::new(64));
-    let svc = slow_service(1, 0);
+    let svc = service(1);
     svc.execute(&fbg_by_band()).unwrap();
     svc.shutdown();
     assert!(!obs::enabled());
@@ -220,7 +244,7 @@ fn disabled_subscriber_records_zero_events() {
     // Installed but paused: still nothing recorded.
     obs::install(collector.clone());
     obs::set_enabled(false);
-    let svc = slow_service(1, 0);
+    let svc = service(1);
     svc.execute(&fbg_by_band()).unwrap();
     svc.shutdown();
     obs::uninstall();

@@ -1,10 +1,12 @@
 //! Concurrency behaviour of the serving subsystem: single-flight
 //! coalescing, epoch-driven cache invalidation, and admission-control
-//! backpressure. All tests drive a real multi-threaded
-//! `QueryService`; `execution_delay` makes executions overlap
-//! deterministically without relying on query cost.
+//! backpressure. All tests drive a real `QueryService` from many caller
+//! threads; a `Delay` fault at `serve.execute` makes executions overlap
+//! deterministically without relying on query cost. Failpoints are
+//! process-global, so every test holds `fault::test_support::fault_lock()`.
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table};
+use fault::{FaultKind, Trigger};
 use serve::{QueryRequest, QueryService, ReportSpec, ServeConfig, ServeError, ServedSource};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -43,14 +45,35 @@ fn count_by_band() -> QueryRequest {
     QueryRequest::Report(ReportSpec::new().on_rows("FBG_Band").count())
 }
 
+/// A report whose fingerprint differs for every `i`: no coalescing, so
+/// every caller needs an execution of its own.
+fn distinct(i: usize) -> QueryRequest {
+    QueryRequest::Report(
+        ReportSpec::new()
+            .on_rows("FBG_Band")
+            .where_measure_between("FBG", 0.0, 100.0 + i as f64)
+            .count(),
+    )
+}
+
+/// Every execution sleeps `ms` before its scan until the guard drops.
+fn delay_executions(ms: u64) -> fault::FaultGuard {
+    fault::arm(
+        "serve.execute",
+        Trigger::Always,
+        FaultKind::Delay(Duration::from_millis(ms)),
+    )
+}
+
 #[test]
 fn identical_concurrent_queries_coalesce_into_one_execution() {
     const CALLERS: usize = 8;
+    let _lock = fault::test_support::fault_lock();
+    let _slow = delay_executions(80);
     let svc = QueryService::new(
         small_warehouse(),
         ServeConfig {
             workers: 4,
-            execution_delay: Some(Duration::from_millis(80)),
             ..ServeConfig::default()
         },
     )
@@ -89,13 +112,14 @@ fn identical_concurrent_queries_coalesce_into_one_execution() {
     assert_eq!(coalesced, CALLERS - 1, "sources: {sources:?}");
 
     let m = svc.shutdown();
-    assert_eq!(m.executed, 1, "one worker execution for {CALLERS} callers");
+    assert_eq!(m.executed, 1, "one execution for {CALLERS} callers");
     assert_eq!(m.coalesced as usize, CALLERS - 1);
     assert_eq!(m.misses, 1);
 }
 
 #[test]
 fn warm_hit_is_identical_to_fresh_execution() {
+    let _lock = fault::test_support::fault_lock();
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
     let cold = svc.execute(&count_by_band()).unwrap();
     let warm = svc.execute(&count_by_band()).unwrap();
@@ -115,6 +139,7 @@ fn warm_hit_is_identical_to_fresh_execution() {
 
 #[test]
 fn append_bumps_epoch_and_invalidates_cached_results() {
+    let _lock = fault::test_support::fault_lock();
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
     let before = svc.execute(&count_by_band()).unwrap();
     let diabetic_before = before
@@ -151,14 +176,16 @@ fn append_bumps_epoch_and_invalidates_cached_results() {
 #[test]
 fn full_queue_rejects_with_overloaded_and_never_blocks() {
     const CALLERS: usize = 12;
-    // One worker stuck 200ms per job, queue of one: most callers must
-    // be turned away immediately.
+    // Two executions admitted at once (one worker + a queue depth of
+    // one), each stuck 200ms: most callers must be turned away
+    // immediately.
+    let _lock = fault::test_support::fault_lock();
+    let _slow = delay_executions(200);
     let svc = QueryService::new(
         small_warehouse(),
         ServeConfig {
             workers: 1,
             queue_depth: 1,
-            execution_delay: Some(Duration::from_millis(200)),
             ..ServeConfig::default()
         },
     )
@@ -173,13 +200,7 @@ fn full_queue_rejects_with_overloaded_and_never_blocks() {
                 let barrier = Arc::clone(&barrier);
                 s.spawn(move || {
                     barrier.wait();
-                    // Distinct fingerprints, so no coalescing: every
-                    // caller needs its own queue slot.
-                    let spec = ReportSpec::new()
-                        .on_rows("FBG_Band")
-                        .where_measure_between("FBG", 0.0, 100.0 + i as f64)
-                        .count();
-                    svc.execute(&QueryRequest::Report(spec))
+                    svc.execute(&distinct(i))
                 })
             })
             .collect();
@@ -212,11 +233,12 @@ fn full_queue_rejects_with_overloaded_and_never_blocks() {
 
 #[test]
 fn deadline_expires_but_execution_still_warms_the_cache() {
+    let _lock = fault::test_support::fault_lock();
+    let _slow = delay_executions(150);
     let svc = QueryService::new(
         small_warehouse(),
         ServeConfig {
             workers: 1,
-            execution_delay: Some(Duration::from_millis(150)),
             ..ServeConfig::default()
         },
     )
@@ -226,8 +248,8 @@ fn deadline_expires_but_execution_still_warms_the_cache() {
         .unwrap_err();
     assert!(matches!(err, ServeError::DeadlineExceeded { .. }));
 
-    // The abandoned execution completes on the worker and later
-    // callers hit its cached result.
+    // The leader ran its execution to the end and published it before
+    // reporting the overrun, so later callers hit the cached result.
     let served = svc.execute(&count_by_band()).unwrap();
     assert_ne!(served.source, ServedSource::Executed);
     let m = svc.shutdown();
@@ -237,11 +259,12 @@ fn deadline_expires_but_execution_still_warms_the_cache() {
 
 #[test]
 fn invalid_queries_are_rejected_before_admission() {
+    let _lock = fault::test_support::fault_lock();
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
 
     // One invalid request of every kind, with the code the analyzer
-    // must assign. None of them may reach the queue, the cache or a
-    // worker.
+    // must assign. None of them may reach admission, the cache or an
+    // execution.
     let corpus: Vec<(QueryRequest, &str)> = vec![
         (
             QueryRequest::Mdx(
@@ -322,6 +345,7 @@ fn invalid_queries_are_rejected_before_admission() {
 fn mixed_request_kinds_hammered_from_many_threads() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 20;
+    let _lock = fault::test_support::fault_lock();
     let svc = QueryService::new(small_warehouse(), ServeConfig::default()).unwrap();
 
     let requests = [
@@ -363,4 +387,63 @@ fn mixed_request_kinds_hammered_from_many_threads() {
         m.executed
     );
     assert!(m.hits + m.coalesced >= (THREADS * ROUNDS - 3) as u64);
+}
+
+#[test]
+fn admission_admits_workers_plus_queue_depth_executions_then_rejects() {
+    const WORKERS: usize = 1;
+    const QUEUE_DEPTH: usize = 2;
+    const ADMITTED: usize = WORKERS + QUEUE_DEPTH;
+    let _lock = fault::test_support::fault_lock();
+    let _slow = delay_executions(300);
+    let svc = QueryService::new(
+        small_warehouse(),
+        ServeConfig {
+            workers: WORKERS,
+            queue_depth: QUEUE_DEPTH,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..ADMITTED)
+            .map(|i| {
+                let svc = &svc;
+                s.spawn(move || svc.execute(&distinct(i)))
+            })
+            .collect();
+        // Once every admitted execution is in flight, one more distinct
+        // request is turned away at once.
+        let waiting = Instant::now();
+        while svc.queue_len() < ADMITTED {
+            assert!(
+                waiting.elapsed() < Duration::from_secs(5),
+                "only {} executions in flight",
+                svc.queue_len()
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        let extra = svc.execute(&distinct(ADMITTED));
+        assert!(
+            matches!(
+                extra,
+                Err(ServeError::Overloaded {
+                    queue_depth: QUEUE_DEPTH,
+                    ..
+                })
+            ),
+            "{extra:?}"
+        );
+        for handle in handles {
+            assert_eq!(
+                handle.join().unwrap().unwrap().source,
+                ServedSource::Executed
+            );
+        }
+    });
+
+    assert_eq!(svc.queue_len(), 0, "every admission slot is handed back");
+    let m = svc.shutdown();
+    assert_eq!((m.executed, m.rejected), (ADMITTED as u64, 1));
 }
