@@ -11,6 +11,10 @@
 //! roll-up is a pure cube-to-cube operation, while drill-down (finer
 //! attribute) re-aggregates from the warehouse via the hierarchy-aware
 //! [`crate::QueryBuilder`].
+//!
+//! Builds and delta patches run one loop — filter bitmap, member-code
+//! slots, aggregate lanes ([`crate::kernels`]) — morsel by morsel over
+//! sealed segments where they answer and fact-table columns elsewhere.
 
 use crate::aggregate::{Aggregate, CellStats, MeasureRef};
 use crate::kernels::{
@@ -18,7 +22,7 @@ use crate::kernels::{
 };
 use clinical_types::{Error, Result, Value};
 use segstore::{ColumnSet, Segment, SegmentMeta};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 use warehouse::{ChangeSet, DeltaSummary, Warehouse};
@@ -94,32 +98,6 @@ impl CubeFilter {
         );
         parts.sort();
         parts.join(" && ")
-    }
-
-    /// Evaluate the filter over a contiguous fact-row range; entry `i`
-    /// of the returned mask covers fact row `rows.start + i`.
-    fn mask_range(&self, warehouse: &Warehouse, rows: Range<usize>) -> Result<Vec<bool>> {
-        let mut mask = vec![true; rows.len()];
-        for (attr, allowed) in &self.attribute_in {
-            let col = warehouse.attribute_column_range(attr, rows.clone())?;
-            for (m, v) in mask.iter_mut().zip(col) {
-                if *m && !allowed.iter().any(|a| a == v) {
-                    *m = false;
-                }
-            }
-        }
-        for (measure, lo, hi) in &self.measure_between {
-            let col = warehouse.measure(measure)?;
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    match col.get(rows.start + i) {
-                        Some(x) if x >= *lo && x < *hi => {}
-                        _ => *m = false,
-                    }
-                }
-            }
-        }
-        Ok(mask)
     }
 }
 
@@ -254,24 +232,12 @@ impl Cube {
     /// cube — how many sealed segments the scan pruned and how many
     /// rows it actually visited (the numbers query profiles report).
     ///
-    /// There is nothing to configure: which of the two paths runs
-    /// (see [`ScanStats`]) follows from the warehouse's sealed state
-    /// and the spec alone.
+    /// There is nothing to configure: whether the morsels read sealed
+    /// segments (see [`ScanStats`]) follows from the warehouse's
+    /// sealed state and the spec alone.
     pub fn build_with_stats(warehouse: &Warehouse, spec: &CubeSpec) -> Result<(Cube, ScanStats)> {
         let mut span = obs::span("olap.cube_build");
-        let (cells, stats) = match SegmentedScan::plan(warehouse, spec)? {
-            Some(scan) => scan.execute()?,
-            None => {
-                let n = warehouse.n_facts();
-                let mut cells = Cells::new();
-                fold_rows(warehouse, spec, 0..n, &mut cells)?;
-                let stats = ScanStats {
-                    rows_scanned: n as u64,
-                    ..ScanStats::default()
-                };
-                (cells, stats)
-            }
-        };
+        let (cells, stats) = SegmentedScan::plan(warehouse, spec)?.execute()?;
         span.record("rows", stats.rows_scanned);
         span.record("segments_pruned", stats.segments_pruned);
         span.record("cells", cells.len());
@@ -326,33 +292,36 @@ impl Cube {
         // Appends are exempt: any dimension they grow shows up only in
         // the appended rows, which the fold below covers.
         if delta.kind != warehouse::DeltaKind::Append && !delta.dimensions.is_empty() {
-            for attr in spec.dimension_attributes() {
-                match warehouse.find_attribute(attr) {
-                    Ok((di, _)) => {
-                        if delta.dimensions.contains(&warehouse.dimensions()[di].name) {
-                            return Ok(false);
-                        }
-                    }
-                    Err(_) => return Ok(false),
-                }
+            let touched = |attr: &str| match warehouse.find_attribute(attr) {
+                Ok((di, _)) => delta.dimensions.contains(&warehouse.dimensions()[di].name),
+                Err(_) => true,
+            };
+            if spec.dimension_attributes().any(touched) {
+                return Ok(false);
             }
         }
         let rows = delta.appended.clone();
         if rows.is_empty() {
             return Ok(true);
         }
-        if rows.end > warehouse.n_facts() {
-            return Err(Error::invalid(format!(
-                "delta appends rows {}..{} but the warehouse has {} facts",
-                rows.start,
-                rows.end,
-                warehouse.n_facts()
-            )));
+        let n = warehouse.n_facts();
+        if rows.end > n {
+            let what = format!("delta appends rows {rows:?} but the warehouse has {n} facts");
+            return Err(Error::invalid(what));
         }
         let mut span = obs::span("olap.cube_apply_delta");
-        let folded = fold_rows(warehouse, spec, rows.clone(), &mut self.cells)?;
+        // Each group the appended rows reach starts from its retained
+        // cell and takes the rows on top, in row order — the float
+        // additions a rebuild makes — and is written back.
+        let scan = SegmentedScan::plan(warehouse, spec)?;
+        let mut state = scan.state(Some(&self.cells))?;
+        scan.fold_facts(rows.clone(), &mut state)?;
+        let (lanes, mut coords) = (state.lanes, state.coords);
+        for (slot, cell) in lanes.into_cells() {
+            let at = std::mem::take(&mut coords[slot as usize]);
+            self.cells.insert(at, cell);
+        }
         span.record("appended", rows.len());
-        span.record("folded", folded);
         span.record("cells", self.cells.len());
         Ok(true)
     }
@@ -488,411 +457,439 @@ impl Cube {
     }
 }
 
-/// The row loop: fold every fact row of `rows` that passes the spec's
-/// filter into `cells`, resolving attribute values through the
-/// dimension tables row by row. Returns how many rows passed.
-///
-/// This is the path that answers any buildable spec in any warehouse
-/// state, so it is what runs wherever sealed segments cannot: the
-/// whole table when nothing is sealed or [`SegmentedScan::plan`]
-/// declines, the mutable tail behind the sealed prefix otherwise, and
-/// a delta's appended range in [`Cube::apply_delta`].
-fn fold_rows(
-    warehouse: &Warehouse,
-    spec: &CubeSpec,
-    rows: Range<usize>,
-    cells: &mut Cells,
-) -> Result<usize> {
-    if spec.axes.is_empty() {
-        return Err(Error::invalid("a cube needs at least one axis"));
-    }
-    // Entry `i` of an axis column and of the mask covers fact row
-    // `rows.start + i`; measure and degenerate columns are whole.
-    let axis_cols = spec
-        .axes
-        .iter()
-        .map(|a| warehouse.attribute_column_range(a, rows.clone()))
-        .collect::<Result<Vec<_>>>()?;
-    let (measure_col, distinct_col) = match &spec.measure {
-        MeasureRef::RowCount => (None, None),
-        MeasureRef::Measure(name) => (Some(warehouse.measure(name)?), None),
-        MeasureRef::DistinctDegenerate(name) => (None, Some(warehouse.degenerate_column(name)?)),
-    };
-    let mask = spec.filter.mask_range(warehouse, rows.clone())?;
-    let mut folded = 0;
-    for (i, row) in rows.enumerate() {
-        if !mask[i] {
-            continue;
-        }
-        let key: Vec<Value> = axis_cols.iter().map(|c| c[i].clone()).collect();
-        let cell = cells
-            .entry(key)
-            .or_insert_with(|| CellStats::new(distinct_col.is_some()));
-        // A missing measure value still counts the row, just not
-        // toward the valid set; `push` handles both.
-        cell.push(
-            measure_col.and_then(|m| m.get(row)),
-            distinct_col.map(|c| &c[row]),
-        );
-        folded += 1;
-    }
-    Ok(folded)
-}
-
 /// Volume statistics of one cube build: how much of the warehouse the
-/// scan touched, and how much pruning avoided. Together the fields
-/// also say which path answered:
+/// scan touched, and how much pruning avoided. Every build runs one
+/// loop — filter bitmap, member-code slots, aggregate lanes — morsel
+/// by morsel; the fields say which columns the morsels read:
 ///
-/// | observed | path |
+/// | observed | morsels over |
 /// |---|---|
-/// | `segments_total == 0` | row loop over the whole fact table |
-/// | `segments_total > 0` | kernels over the zone-map survivors (+ row loop over the tail) |
+/// | `segments_total == 0` | fact-table columns, every row |
+/// | `segments_total > 0` | the zone-map survivors, then the fact rows behind the sealed prefix |
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Sealed segments the build considered: 0 when the row loop
-    /// answered the whole table, because nothing is sealed, the sealed
-    /// rows could not be proven to mirror the fact table, or the
-    /// spec's group domain is too large for dense lanes.
+    /// Sealed segments the build considered: 0 when nothing is sealed
+    /// or the sealed rows cannot answer the spec (a rewrite or an
+    /// aged-out delta log since compaction, or a column the sealed
+    /// schema lacks), so every row is read from the fact table.
     pub segments_total: u64,
     /// Sealed segments skipped on zone-map evidence alone — never
     /// fetched, never decoded.
     pub segments_pruned: u64,
-    /// Fact rows actually visited (surviving segments plus the
-    /// mutable tail, or the whole fact table).
+    /// Fact rows actually visited (surviving segments plus the rows
+    /// behind the sealed prefix, or the whole fact table).
     pub rows_scanned: u64,
-    /// Morsels the kernels ran (0 when the row loop answered, or when
-    /// zone maps pruned every sealed segment).
+    /// Morsels the kernels ran, sealed and fact-table ones alike (0
+    /// only when no row was left to visit).
     pub morsels_executed: u64,
 }
 
-/// A validated segmented scan: the spec's columns all exist in the
-/// sealed schema, the sealed rows provably mirror fact rows
-/// `0..watermark` and the group domain fits dense lanes, so the build
-/// may run segments through the kernels (plus the tail through the row
-/// loop) instead of whole fact-table columns.
+/// A spec resolved against one warehouse: builds and delta patches run
+/// every morsel through [`SegmentedScan::scan_morsel`], over sealed
+/// segments where [`SegmentedScan::sealed_part`] allows and fact-table
+/// columns elsewhere.
 struct SegmentedScan<'a> {
     warehouse: &'a Warehouse,
     spec: &'a CubeSpec,
-    axes: Vec<MemberCodes<'a>>,
-    /// Group ids over the axes' member codes: the domain is the
-    /// product of the axis *attributes'* member counts, whatever the
-    /// dimensions' key counts.
-    layout: GroupLayout,
-    /// Per filtered dimension: surrogate keys whose tuples satisfy
-    /// every attribute condition on that dimension (intersection) —
-    /// as a set for the zone maps, packed for the kernels.
-    key_filters: Vec<(&'a str, BTreeSet<u32>, KeyLut)>,
     /// Every dimension whose key column the scan reads, with its key
     /// count: a sealed key at or past it is dangling.
-    key_domains: Vec<(&'a str, usize)>,
-    /// Columns a segment fetch must materialise.
-    columns: ColumnSet,
-    metas: Vec<Arc<SegmentMeta>>,
-    watermark: usize,
+    dims: Vec<(&'a str, usize)>,
+    axes: Vec<MemberCodes<'a>>,
+    /// Per filtered dimension (an index into `dims`): the keys whose
+    /// tuples satisfy every attribute condition on that dimension.
+    key_filters: Vec<(usize, KeyLut)>,
 }
 
 /// One dimension attribute as the kernels see it.
 struct MemberCodes<'a> {
-    /// Dimension whose key column carries the attribute.
-    dimension: &'a str,
+    /// Index into `SegmentedScan::dims` of the attribute's dimension.
+    dim: usize,
     /// Surrogate key → member code.
     codes: &'a [u32],
     /// Member code → attribute value.
     members: &'a [Value],
 }
 
-/// The kernels' accumulation state: the aggregate lanes plus the
-/// selection/group-id scratch vectors reused across morsels.
-struct KernelState {
+/// Sealed segments that provably mirror fact rows `0..watermark` and
+/// carry every column the spec reads.
+struct Sealed {
+    metas: Vec<Arc<SegmentMeta>>,
+    watermark: usize,
+    /// Columns a segment fetch must materialise.
+    columns: ColumnSet,
+    /// The keys of each key filter as a set, for the zone maps.
+    zone_keys: Vec<BTreeSet<u32>>,
+}
+
+/// One morsel's columns, each resolved by name once, borrowed from a
+/// sealed segment or the fact table alike.
+struct MorselView<'v> {
+    /// One key column per entry of `SegmentedScan::dims`, of which a
+    /// scan has at least one (a cube has an axis): the morsel's length.
+    keys: Vec<&'v [u32]>,
+    /// Values and validity per measure-range filter, in filter order.
+    ranges: Vec<(&'v [f64], &'v [bool])>,
+    input: Input<'v>,
+}
+
+/// The column the lanes aggregate.
+enum Input<'v> {
+    Rows,
+    Measure(&'v [f64], &'v [bool]),
+    Distinct(&'v [Value]),
+}
+
+/// The lanes, the layout handing out their slots, and scratch vectors
+/// reused across morsels.
+struct KernelState<'c> {
     lanes: AggLanes,
+    layout: GroupLayout,
     sel: Vec<u32>,
     gids: Vec<u32>,
+    /// When patching: the retained cells a new slot starts from, and
+    /// the coordinates of every slot handed out, for the write-back.
+    seed: Option<&'c Cells>,
+    coords: Vec<Vec<Value>>,
 }
 
 impl<'a> SegmentedScan<'a> {
-    /// Decide whether `spec` can run as a segmented scan over
-    /// `warehouse`, and resolve everything the scan needs if so.
-    /// `Ok(None)` means "run the row loop over the whole table" —
-    /// never an error, since the row loop answers every buildable
-    /// spec.
-    fn plan(warehouse: &'a Warehouse, spec: &'a CubeSpec) -> Result<Option<SegmentedScan<'a>>> {
-        let seg = warehouse.segments();
-        if spec.axes.is_empty() || seg.watermark() == 0 || seg.is_empty() {
-            return Ok(None);
+    /// Resolve what every morsel needs, whichever columns it reads —
+    /// the scan answers every buildable spec.
+    fn plan(warehouse: &'a Warehouse, spec: &'a CubeSpec) -> Result<SegmentedScan<'a>> {
+        if spec.axes.is_empty() {
+            return Err(Error::invalid("a cube needs at least one axis"));
         }
-        // Sealed rows mirror fact rows 0..watermark only while nothing
-        // rewrote them since compaction; an aged-out delta log cannot
-        // prove that, so fall back (the serve layer separately counts
-        // those aged-out events).
-        match warehouse.deltas_since(seg.compacted_epoch()) {
-            Some(chain) if !ChangeSet::fold(&chain).rewrote_existing => {}
-            _ => return Ok(None),
+        for (name, _, _) in spec.filter.measure_conditions() {
+            warehouse.measure(name)?;
         }
-        let metas = seg.metas().to_vec();
-        let Some(schema) = metas.first().cloned() else {
-            return Ok(None);
-        };
-
-        // Resolve every referenced column against the sealed schema;
-        // anything missing (e.g. a feedback dimension added after the
-        // last compaction) declines. These loops are also the column
-        // pruning: a fetch materialises exactly what they name.
-        let mut key_domains: Vec<(&str, usize)> = Vec::new();
-        let mut resolve = |attr: &str| -> Result<Option<MemberCodes<'a>>> {
+        match &spec.measure {
+            MeasureRef::RowCount => {}
+            MeasureRef::Measure(name) => _ = warehouse.measure(name)?,
+            MeasureRef::DistinctDegenerate(name) => _ = warehouse.degenerate_column(name)?,
+        }
+        let mut dims: Vec<(&str, usize)> = Vec::new();
+        let mut resolve = |attr: &str| -> Result<MemberCodes<'a>> {
             let (di, ai) = warehouse.find_attribute(attr)?;
             let dim = warehouse.dimensions().get(di);
             let resolved = dim.and_then(|d| Some((d, d.members(ai)?, d.codes(ai)?)));
             let (dim, members, codes) = resolved
                 .ok_or_else(|| Error::invalid(format!("dangling attribute index {di}.{ai}")))?;
-            if schema.key_zone(&dim.name).is_none() {
-                return Ok(None);
-            }
-            if !key_domains.iter().any(|(name, _)| *name == dim.name) {
-                key_domains.push((&dim.name, dim.len()));
-            }
-            Ok(Some(MemberCodes {
-                dimension: &dim.name,
+            let index = dims.iter().position(|(name, _)| *name == dim.name);
+            let index = index.unwrap_or_else(|| {
+                dims.push((&dim.name, dim.len()));
+                dims.len() - 1
+            });
+            Ok(MemberCodes {
+                dim: index,
                 codes,
                 members,
-            }))
+            })
         };
-        let mut axes = Vec::with_capacity(spec.axes.len());
-        for attr in &spec.axes {
-            match resolve(attr)? {
-                Some(axis) => axes.push(axis),
-                None => return Ok(None),
-            }
-        }
+        let axes = spec.axes.iter().map(|a| resolve(a));
+        let axes = axes.collect::<Result<_>>()?;
         // An attribute filter becomes the set of keys whose member is
         // allowed: the values are matched against the attribute's few
-        // members once, then each key is an integer test.
-        let mut allowed_by_dim: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
-        for (attr, allowed) in spec.filter.attribute_conditions() {
-            let Some(filtered) = resolve(attr)? else {
-                return Ok(None);
-            };
-            let passes: Vec<bool> = (filtered.members.iter())
-                .map(|member| allowed.contains(member))
-                .collect();
-            let keys = (0u32..)
-                .zip(filtered.codes)
-                .filter(|(_, &code)| passes.get(code as usize) == Some(&true))
-                .map(|(key, _)| key);
-            let keys: BTreeSet<u32> = match allowed_by_dim.get(filtered.dimension) {
-                Some(earlier) => keys.filter(|key| earlier.contains(key)).collect(),
-                None => keys.collect(),
-            };
-            allowed_by_dim.insert(filtered.dimension, keys);
-        }
-        let mut columns = key_domains
-            .iter()
-            .fold(ColumnSet::empty(), |set, (dim, _)| set.with_key(*dim));
-        for (name, _, _) in spec.filter.measure_conditions() {
-            if schema.measure_zone(name).is_none() {
-                return Ok(None);
-            }
-            columns = columns.with_measure(name.clone());
-        }
-        match &spec.measure {
-            MeasureRef::RowCount => {}
-            MeasureRef::Measure(name) => {
-                if schema.measure_zone(name).is_none() {
-                    return Ok(None);
-                }
-                columns = columns.with_measure(name.clone());
-            }
-            MeasureRef::DistinctDegenerate(name) => {
-                if !schema.has_degenerate(name) {
-                    return Ok(None);
-                }
-                columns = columns.with_degenerate(name.clone());
+        // members once, then each key is an integer test. Conditions
+        // on one dimension intersect.
+        let mut allowed: Vec<(usize, Vec<bool>)> = Vec::new();
+        for (attr, values) in spec.filter.attribute_conditions() {
+            let filtered = resolve(attr)?;
+            let passes = filtered.members.iter().map(|m| values.contains(m));
+            let passes: Vec<bool> = passes.collect();
+            let keys = (filtered.codes.iter()).map(|&c| passes.get(c as usize) == Some(&true));
+            match allowed.iter_mut().find(|(dim, _)| *dim == filtered.dim) {
+                Some((_, earlier)) => earlier.iter_mut().zip(keys).for_each(|(e, k)| *e &= k),
+                None => allowed.push((filtered.dim, keys.collect())),
             }
         }
-        // Dense lanes need a bounded domain; a spec over attributes
-        // with too many members goes to the row loop.
-        let cards: Vec<u32> = axes.iter().map(|a| a.members.len() as u32).collect();
-        let Some(layout) = GroupLayout::try_new(&cards) else {
-            return Ok(None);
-        };
-        // Keys past the largest allowed key are non-members by
-        // construction, so a LUT only needs to reach that far.
-        let key_filters = allowed_by_dim
-            .into_iter()
-            .map(|(dim, allowed)| {
-                let domain = allowed.last().map_or(0, |k| k + 1);
-                let lut = KeyLut::new(domain, allowed.iter().copied());
-                (dim, allowed, lut)
+        let key_filters = (allowed.into_iter())
+            .map(|(dim, keys)| {
+                let members = (0u32..).zip(&keys).filter(|(_, &ok)| ok);
+                let members = members.map(|(key, _)| key);
+                (dim, KeyLut::new(keys.len() as u32, members))
             })
             .collect();
-        Ok(Some(SegmentedScan {
+        Ok(SegmentedScan {
             warehouse,
             spec,
+            dims,
             axes,
-            layout,
             key_filters,
-            key_domains,
-            columns,
-            metas,
+        })
+    }
+
+    /// The sealed segments, when they answer for fact rows
+    /// `0..watermark`: nothing rewrote those rows since compaction (an
+    /// aged-out delta log cannot prove that), and the sealed schema has
+    /// every column the spec reads — exactly what a fetch materialises.
+    fn sealed_part(&self) -> Option<Sealed> {
+        let seg = self.warehouse.segments();
+        if seg.watermark() == 0 || seg.is_empty() {
+            return None;
+        }
+        match self.warehouse.deltas_since(seg.compacted_epoch()) {
+            Some(chain) if !ChangeSet::fold(&chain).rewrote_existing => {}
+            _ => return None,
+        }
+        let metas = seg.metas().to_vec();
+        let schema = metas.first()?;
+        let mut columns = ColumnSet::empty();
+        for (dim, _) in &self.dims {
+            schema.key_zone(dim)?;
+            columns = columns.with_key(*dim);
+        }
+        let measures = (self.spec.filter.measure_conditions().iter()).map(|(m, _, _)| m);
+        for name in measures.chain(match &self.spec.measure {
+            MeasureRef::Measure(name) => Some(name),
+            _ => None,
+        }) {
+            schema.measure_zone(name)?;
+            columns = columns.with_measure(name.clone());
+        }
+        if let MeasureRef::DistinctDegenerate(name) = &self.spec.measure {
+            schema.has_degenerate(name).then_some(())?;
+            columns = columns.with_degenerate(name.clone());
+        }
+        let zone_keys = (self.key_filters.iter())
+            .map(|(d, lut)| {
+                (0..self.dims[*d].1 as u32)
+                    .filter(|&k| lut.contains(k))
+                    .collect()
+            })
+            .collect();
+        Some(Sealed {
             watermark: seg.watermark(),
-        }))
+            metas,
+            columns,
+            zone_keys,
+        })
     }
 
     /// Could any row of the segment behind `meta` pass the filter?
-    fn survives_zones(&self, meta: &SegmentMeta) -> bool {
-        for (dim, allowed, _) in &self.key_filters {
-            if let Some(zone) = meta.key_zone(dim) {
-                if !zone.may_contain_any(allowed) {
-                    return false;
-                }
-            }
-        }
-        for (name, lo, hi) in self.spec.filter.measure_conditions() {
-            if let Some(zone) = meta.measure_zone(name) {
-                if !zone.may_overlap(*lo, *hi) {
-                    return false;
-                }
-            }
-        }
-        true
+    fn survives_zones(&self, sealed: &Sealed, meta: &SegmentMeta) -> bool {
+        let keys = self.key_filters.iter().zip(&sealed.zone_keys);
+        let conditions = self.spec.filter.measure_conditions();
+        keys.into_iter().all(|((dim, _), allowed)| {
+            (meta.key_zone(self.dims[*dim].0)).is_none_or(|zone| zone.may_contain_any(allowed))
+        }) && conditions.iter().all(|(name, lo, hi)| {
+            (meta.measure_zone(name)).is_none_or(|zone| zone.may_overlap(*lo, *hi))
+        })
     }
 
     /// Fetch one surviving segment and prove, from its zone maps
     /// alone, that every key the scan will read resolves: a key past
     /// its dimension table is a typed error here, never a row counted
-    /// in some other cell.
-    fn fetch(&self, id: u64) -> Result<Arc<Segment>> {
+    /// in some other cell. Fact-table keys were interned, so they need
+    /// no such check.
+    fn fetch(&self, sealed: &Sealed, id: u64) -> Result<Arc<Segment>> {
         fault::point("olap.segment_scan").map_err(|e| Error::invalid(e.to_string()))?;
-        let segment = self.warehouse.fetch_segment(id, &self.columns)?;
-        for (dim, len) in &self.key_domains {
-            match segment.meta.key_zone(dim) {
-                Some(zone) if zone.min <= zone.max && zone.max as usize >= *len => {
-                    let key = zone.max;
-                    return Err(Error::invalid(format!(
-                        "dangling key {key} in dimension `{dim}` (segment {id})"
-                    )));
-                }
-                _ => {}
+        let segment = self.warehouse.fetch_segment(id, &sealed.columns)?;
+        for (dim, len) in &self.dims {
+            let zone = segment.meta.key_zone(dim);
+            if let Some(zone) = zone.filter(|z| z.min <= z.max && z.max as usize >= *len) {
+                let key = zone.max;
+                return Err(Error::invalid(format!(
+                    "dangling key {key} in dimension `{dim}` (segment {id})"
+                )));
             }
         }
         Ok(segment)
     }
 
-    /// Vectorized scan of one morsel: fold every predicate into a
-    /// selection bitmap, compose dense group ids for the survivors,
-    /// then stream them into the aggregate lanes. The scratch vectors
-    /// in `state` are reused across morsels.
-    fn scan_morsel(
-        &self,
-        segment: &Segment,
-        rows: Range<usize>,
-        state: &mut KernelState,
-    ) -> Result<()> {
-        let slice = segment.slice(rows)?;
-        let missing = |what: &str| Error::invalid(format!("segment slice lacks column `{what}`"));
-        let mut bitmap = SelectionBitmap::all(slice.len());
-        for (dim, _, lut) in &self.key_filters {
-            bitmap.and_key_in(slice.key_slice(dim).ok_or_else(|| missing(dim))?, lut);
-        }
-        for (name, lo, hi) in self.spec.filter.measure_conditions() {
-            let m = slice.measure_slice(name).ok_or_else(|| missing(name))?;
-            bitmap.and_measure_between(m.values, m.valid, *lo, *hi);
-        }
-        let KernelState { lanes, sel, gids } = state;
-        sel.clear();
-        bitmap.collect_into(sel);
-        if sel.is_empty() {
-            return Ok(());
-        }
-        let axes = self
-            .axes
-            .iter()
-            .map(|a| match slice.key_slice(a.dimension) {
-                Some(keys) => Ok((keys, a.codes)),
-                None => Err(missing(a.dimension)),
-            })
-            .collect::<Result<Vec<_>>>()?;
-        gids.clear();
-        self.layout.compose(&axes, sel, gids);
-        match &self.spec.measure {
-            MeasureRef::RowCount => lanes.accumulate_rows(gids),
-            MeasureRef::Measure(name) => {
-                let m = slice.measure_slice(name).ok_or_else(|| missing(name))?;
-                lanes.accumulate_measure(gids, sel, m.values, m.valid);
-            }
-            MeasureRef::DistinctDegenerate(name) => {
-                let vals = slice.degenerate_slice(name).ok_or_else(|| missing(name))?;
-                lanes.accumulate_distinct(gids, sel, vals);
-            }
-        }
-        Ok(())
-    }
-
-    /// Run the scan: prune on zone maps, cut the survivors into
-    /// morsels and run each through the kernels into one set of lanes,
-    /// decode the occupied group ids straight to member values, then
-    /// fold the mutable tail through the row loop.
-    fn execute(&self) -> Result<(Cells, ScanStats)> {
-        let survivors: Vec<&Arc<SegmentMeta>> = self
-            .metas
-            .iter()
-            .filter(|m| self.survives_zones(m))
-            .collect();
-        let mut stats = ScanStats {
-            segments_total: self.metas.len() as u64,
-            segments_pruned: (self.metas.len() - survivors.len()) as u64,
-            rows_scanned: survivors.iter().map(|m| m.rows).sum(),
-            morsels_executed: 0,
+    /// Fresh lanes: dense wherever the group domain allows for a build
+    /// (`seed: None`); sparse for a patch, so only the groups the rows
+    /// reach get a slot, each seeded from its retained cell.
+    fn state<'c>(&self, seed: Option<&'c Cells>) -> Result<KernelState<'c>> {
+        let cards: Vec<u32> = self.axes.iter().map(|a| a.members.len() as u32).collect();
+        let layout = match seed {
+            None => GroupLayout::new(&cards),
+            Some(_) => GroupLayout::sparse(&cards),
         };
+        let layout = layout.ok_or_else(|| Error::invalid("the group domain overflows u64"))?;
         let kind = match &self.spec.measure {
             MeasureRef::RowCount => LaneKind::Rows,
             MeasureRef::Measure(_) => LaneKind::Measure,
             MeasureRef::DistinctDegenerate(_) => LaneKind::Distinct,
         };
-        let segment_rows: Vec<usize> = survivors.iter().map(|m| m.rows as usize).collect();
-        let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
-        let mut state = KernelState {
-            lanes: AggLanes::new(kind, self.layout.groups()),
+        Ok(KernelState {
+            lanes: AggLanes::new(kind, layout.slots()),
+            layout,
             sel: Vec::new(),
             gids: Vec::new(),
-        };
-        // Consecutive morsels of one segment share a single fetch,
-        // even on cold backends.
-        let mut cached: Option<(usize, Arc<Segment>)> = None;
-        for m in morsels(&segment_rows, DEFAULT_MORSEL_ROWS) {
-            let segment = match &cached {
-                Some((s, seg)) if *s == m.segment => Arc::clone(seg),
-                _ => {
-                    let seg = self.fetch(survivors[m.segment].id)?;
-                    cached = Some((m.segment, Arc::clone(&seg)));
-                    seg
-                }
-            };
-            let mut morsel_span = obs::span("olap.morsel");
-            morsel_span.record("segment", survivors[m.segment].id);
-            morsel_span.record("rows", m.rows.len());
-            self.scan_morsel(&segment, m.rows, &mut state)?;
-            stats.morsels_executed += 1;
-        }
-        // Members are distinct, so distinct group ids are distinct
-        // coordinates: one cell each, nothing to merge.
-        let mut cells = Cells::new();
-        for (gid, cell) in state.lanes.into_cells() {
-            let codes = self.layout.decode(gid);
-            let coords = codes.iter().zip(&self.axes).map(|(&code, axis)| {
-                axis.members.get(code as usize).cloned().ok_or_else(|| {
-                    Error::invalid(format!("no member {code} in `{}`", axis.dimension))
-                })
-            });
-            cells.insert(coords.collect::<Result<Vec<_>>>()?, cell);
-        }
+            seed,
+            coords: Vec::new(),
+        })
+    }
 
-        // The mutable tail: rows appended since the last compaction.
-        let tail = self.watermark..self.warehouse.n_facts();
-        if !tail.is_empty() {
-            stats.rows_scanned += tail.len() as u64;
-            fold_rows(self.warehouse, self.spec, tail, &mut cells)?;
+    /// Resolve every column a morsel reads, once: rows `rows` of the
+    /// columns a sealed segment's or the fact table's lookups return.
+    fn view<'v>(
+        &self,
+        rows: Range<usize>,
+        keys: impl Fn(&str) -> Option<&'v [u32]>,
+        measure: impl Fn(&str) -> Option<(&'v [f64], &'v [bool])>,
+        degenerate: impl Fn(&str) -> Option<&'v [Value]>,
+    ) -> Result<MorselView<'v>> {
+        let missing = |what: &str| Error::invalid(format!("morsel lacks column `{what}`"));
+        let keys = |dim: &str| keys(dim)?.get(rows.clone());
+        let measure = |name: &str| {
+            let (values, valid) = measure(name)?;
+            Some((values.get(rows.clone())?, valid.get(rows.clone())?))
+        };
+        let keys = (self.dims.iter())
+            .map(|(dim, _)| keys(dim).ok_or_else(|| missing(dim)))
+            .collect::<Result<_>>()?;
+        let ranges = (self.spec.filter.measure_conditions().iter())
+            .map(|(name, _, _)| measure(name).ok_or_else(|| missing(name)))
+            .collect::<Result<_>>()?;
+        let input = match &self.spec.measure {
+            MeasureRef::RowCount => Input::Rows,
+            MeasureRef::Measure(name) => {
+                let (values, valid) = measure(name).ok_or_else(|| missing(name))?;
+                Input::Measure(values, valid)
+            }
+            MeasureRef::DistinctDegenerate(name) => {
+                let values = degenerate(name).and_then(|col| col.get(rows.clone()));
+                Input::Distinct(values.ok_or_else(|| missing(name))?)
+            }
+        };
+        Ok(MorselView {
+            keys,
+            ranges,
+            input,
+        })
+    }
+
+    /// Vectorized scan of one morsel: fold every predicate into a
+    /// selection bitmap, compose member-code slots for the survivors,
+    /// then stream them into the aggregate lanes — a slot new to a
+    /// patch first takes the retained cell at its coordinates.
+    fn scan_morsel(&self, view: &MorselView<'_>, state: &mut KernelState<'_>) -> Result<()> {
+        let mut bitmap = SelectionBitmap::all(view.keys.first().map_or(0, |k| k.len()));
+        for (dim, lut) in &self.key_filters {
+            bitmap.and_key_in(view.keys[*dim], lut);
         }
-        Ok((cells, stats))
+        let conditions = self.spec.filter.measure_conditions();
+        for ((_, lo, hi), (values, valid)) in conditions.iter().zip(&view.ranges) {
+            bitmap.and_measure_between(values, valid, *lo, *hi);
+        }
+        state.sel.clear();
+        bitmap.collect_into(&mut state.sel);
+        if state.sel.is_empty() {
+            return Ok(());
+        }
+        let axes: Vec<_> = (self.axes.iter())
+            .map(|a| (view.keys[a.dim], a.codes))
+            .collect();
+        state.gids.clear();
+        let seen = state.layout.slots() as u32;
+        state.layout.compose(&axes, &state.sel, &mut state.gids);
+        state.lanes.grow(state.layout.slots());
+        if let Some(cells) = state.seed {
+            for slot in seen..state.layout.slots() as u32 {
+                let at = self.coords(&state.layout.decode(slot))?;
+                if let Some(cell) = cells.get(&at) {
+                    state.lanes.seed(slot, cell);
+                }
+                state.coords.push(at);
+            }
+        }
+        let (lanes, sel, gids) = (&mut state.lanes, &state.sel, &state.gids);
+        match view.input {
+            Input::Rows => lanes.accumulate_rows(gids),
+            Input::Measure(values, valid) => lanes.accumulate_measure(gids, sel, values, valid),
+            Input::Distinct(values) => lanes.accumulate_distinct(gids, sel, values),
+        }
+        Ok(())
+    }
+
+    /// Run fact rows `rows` through [`SegmentedScan::scan_morsel`] as
+    /// morsels of fact-table columns; returns how many ran.
+    fn fold_facts(&self, rows: Range<usize>, state: &mut KernelState<'_>) -> Result<u64> {
+        let fact = self.warehouse.fact();
+        let mut executed = 0;
+        for m in morsels(&[rows.len()], DEFAULT_MORSEL_ROWS) {
+            let r = rows.start + m.rows.start..rows.start + m.rows.end;
+            let mut morsel_span = obs::span("olap.morsel");
+            morsel_span.record("rows", r.len());
+            let view = self.view(
+                r,
+                |dim| fact.keys_of(dim).ok(),
+                |name| {
+                    fact.measure(name)
+                        .ok()
+                        .map(|c| (&c.values[..], &c.valid[..]))
+                },
+                |name| fact.degenerate_column(name).ok(),
+            )?;
+            self.scan_morsel(&view, state)?;
+            executed += 1;
+        }
+        Ok(executed)
+    }
+
+    /// Run the zone-map survivors, then the fact rows behind them (all
+    /// of them when nothing sealed answers), morsel by morsel through
+    /// the same loop into the same lanes.
+    fn execute(&self) -> Result<(Cells, ScanStats)> {
+        let _watchdog = obs::task_scope("olap.morsel_scan", std::time::Duration::from_secs(60));
+        let mut state = self.state(None)?;
+        let mut stats = ScanStats::default();
+        let mut behind = 0;
+        if let Some(sealed) = &self.sealed_part() {
+            let survivors: Vec<&Arc<SegmentMeta>> = (sealed.metas.iter())
+                .filter(|m| self.survives_zones(sealed, m))
+                .collect();
+            stats.segments_total = sealed.metas.len() as u64;
+            stats.segments_pruned = (sealed.metas.len() - survivors.len()) as u64;
+            stats.rows_scanned = survivors.iter().map(|m| m.rows).sum();
+            let segment_rows: Vec<usize> = survivors.iter().map(|m| m.rows as usize).collect();
+            // Consecutive morsels of one segment share a single fetch,
+            // even on cold backends.
+            let mut cached: Option<(usize, Arc<Segment>)> = None;
+            for m in morsels(&segment_rows, DEFAULT_MORSEL_ROWS) {
+                let segment = match &cached {
+                    Some((s, seg)) if *s == m.segment => Arc::clone(seg),
+                    _ => {
+                        let seg = self.fetch(sealed, survivors[m.segment].id)?;
+                        cached = Some((m.segment, Arc::clone(&seg)));
+                        seg
+                    }
+                };
+                let mut morsel_span = obs::span("olap.morsel");
+                morsel_span.record("segment", survivors[m.segment].id);
+                morsel_span.record("rows", m.rows.len());
+                let view = self.view(
+                    m.rows,
+                    |dim| segment.key_column(dim),
+                    |name| segment.measure_column(name),
+                    |name| segment.degenerate_column(name),
+                )?;
+                self.scan_morsel(&view, &mut state)?;
+                stats.morsels_executed += 1;
+            }
+            behind = sealed.watermark;
+        }
+        let rest = behind..self.warehouse.n_facts();
+        stats.rows_scanned += rest.len() as u64;
+        stats.morsels_executed += self.fold_facts(rest, &mut state)?;
+        Ok((self.cells(state)?, stats))
+    }
+
+    /// The member values of one slot's codes, in axis order.
+    fn coords(&self, codes: &[u32]) -> Result<Vec<Value>> {
+        let member = |(&code, axis): (&u32, &MemberCodes)| axis.members.get(code as usize).cloned();
+        let coords: Option<Vec<Value>> = codes.iter().zip(&self.axes).map(member).collect();
+        coords.ok_or_else(|| Error::invalid(format!("no members for codes {codes:?}")))
+    }
+
+    /// One cell per occupied slot. Members are distinct, so distinct
+    /// slots are distinct coordinates: nothing to merge.
+    fn cells(&self, state: KernelState<'_>) -> Result<Cells> {
+        let KernelState { lanes, layout, .. } = state;
+        (lanes.into_cells().into_iter())
+            .map(|(slot, cell)| Ok((self.coords(&layout.decode(slot))?, cell)))
+            .collect()
     }
 }
 
@@ -1169,6 +1166,37 @@ mod tests {
             let rebuilt = Cube::build(&wh, &spec).unwrap();
             assert_eq!(patched, rebuilt, "{spec:?}");
         }
+
+        // Sealed segments and a tail, then appends whose values
+        // re-associate (0.1 + 0.2 + … differs by grouping) in a band no
+        // sealed row has: the patch must continue each retained cell
+        // row by row, exactly as a rebuild adds the same rows — merging
+        // a separately summed delta into the cells is not bit-identical.
+        let tenths = |from: i64, n: i64| {
+            let rows = (from..from + n).map(|i| (100 + i, "F", "80+", "no", Some(i as f64 / 10.0)));
+            demo_table(rows.collect())
+        };
+        let specs = [
+            CubeSpec::measure(vec!["Age_Band"], Aggregate::Sum, "FBG"),
+            CubeSpec::measure(vec!["Age_Band", "Gender"], Aggregate::Avg, "FBG"),
+            CubeSpec::measure(vec!["Gender"], Aggregate::Sum, "FBG")
+                .with_filter(CubeFilter::all().equals("Age_Band", "80+")),
+        ];
+        for spec in specs {
+            let mut wh = banded_warehouse();
+            compact_small(&mut wh);
+            wh.append(&tenths(1, 3)).unwrap();
+            let epoch0 = wh.epoch();
+            let mut patched = Cube::build(&wh, &spec).unwrap();
+            wh.append(&tenths(4, 4)).unwrap();
+            wh.append(&tenths(8, 5)).unwrap();
+            for delta in wh.deltas_since(epoch0).unwrap() {
+                assert!(patched.apply_delta(&wh, &spec, &delta).unwrap());
+            }
+            let (rebuilt, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
+            assert_eq!(stats.segments_total, 3, "{stats:?}");
+            assert_eq!(patched, rebuilt, "{spec:?}");
+        }
     }
 
     #[test]
@@ -1257,17 +1285,43 @@ mod tests {
 
     // ---- segmented scans -------------------------------------------------
 
-    /// The row loop over the whole fact table, whatever is sealed: the
-    /// oracle the segmented paths must agree with.
-    fn row_loop(wh: &Warehouse, spec: &CubeSpec) -> Cube {
+    /// A row-at-a-time reference over the whole fact table, whatever
+    /// is sealed: attribute values resolved row by row, one
+    /// [`CellStats::push`] per passing row, in row order — nothing of
+    /// the kernels, so the scan must agree with it.
+    fn reference(wh: &Warehouse, spec: &CubeSpec) -> Cells {
+        let column = |attr: &str| wh.attribute_column(attr).unwrap();
+        let axes: Vec<Vec<&Value>> = spec.axes.iter().map(|a| column(a)).collect();
+        let filters = spec.filter.attribute_conditions().iter();
+        let filters: Vec<_> = filters
+            .map(|(attr, allowed)| (column(attr), allowed))
+            .collect();
+        let ranges = spec.filter.measure_conditions().iter();
+        let ranges: Vec<_> = ranges
+            .map(|(m, lo, hi)| (wh.measure(m).unwrap(), *lo..*hi))
+            .collect();
+        let (measure, distinct) = match &spec.measure {
+            MeasureRef::RowCount => (None, None),
+            MeasureRef::Measure(m) => (Some(wh.measure(m).unwrap()), None),
+            MeasureRef::DistinctDegenerate(d) => (None, Some(wh.degenerate_column(d).unwrap())),
+        };
         let mut cells = Cells::new();
-        fold_rows(wh, spec, 0..wh.n_facts(), &mut cells).unwrap();
-        Cube {
-            axes: spec.axes.clone(),
-            measure: spec.measure.clone(),
-            agg: spec.agg,
-            cells,
+        for row in 0..wh.n_facts() {
+            let admitted = filters
+                .iter()
+                .all(|(col, allowed)| allowed.contains(col[row]));
+            let in_range = ranges
+                .iter()
+                .all(|(m, r)| m.get(row).is_some_and(|x| r.contains(&x)));
+            if admitted && in_range {
+                let key = axes.iter().map(|col| col[row].clone()).collect();
+                let cell = cells
+                    .entry(key)
+                    .or_insert_with(|| CellStats::new(distinct.is_some()));
+                cell.push(measure.and_then(|m| m.get(row)), distinct.map(|d| &d[row]));
+            }
         }
+        cells
     }
 
     /// Warehouse with an append-order-correlated `Age_Band` (so zone
@@ -1320,7 +1374,12 @@ mod tests {
         ];
         for spec in specs {
             let (seg, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-            assert_eq!(seg, row_loop(&wh, &spec), "spec {}", spec.fingerprint());
+            assert_eq!(
+                seg.cells,
+                reference(&wh, &spec),
+                "spec {}",
+                spec.fingerprint()
+            );
             assert_eq!(stats.segments_total, 3);
             assert!(stats.morsels_executed > 0, "kernel path must run");
             if spec.filter.is_empty() {
@@ -1337,7 +1396,7 @@ mod tests {
         let spec = CubeSpec::count(vec!["Gender"])
             .with_filter(CubeFilter::all().equals("Age_Band", "40-60"));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, row_loop(&wh, &spec));
+        assert_eq!(cube.cells, reference(&wh, &spec));
         assert_eq!(stats.segments_total, 3);
         assert_eq!(stats.segments_pruned, 2, "only the 40-60 segment survives");
         assert_eq!(stats.rows_scanned, 8);
@@ -1353,7 +1412,7 @@ mod tests {
         let spec = CubeSpec::count(vec!["Age_Band"])
             .with_filter(CubeFilter::all().measure_between("FBG", 7.0, 9.0));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, row_loop(&wh, &spec));
+        assert_eq!(cube.cells, reference(&wh, &spec));
         assert_eq!(stats.segments_pruned, 2);
         assert_eq!(stats.rows_scanned, 8);
         assert_eq!(cube.grand_total(), Some(4.0)); // 7.0, 7.25, 7.5, 7.75
@@ -1375,7 +1434,7 @@ mod tests {
         let spec = CubeSpec::count(vec!["Gender"])
             .with_filter(CubeFilter::all().equals("Age_Band", "40-60"));
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-        assert_eq!(cube, row_loop(&wh, &spec));
+        assert_eq!(cube.cells, reference(&wh, &spec));
         assert_eq!(stats.segments_pruned, 2, "tail does not disable pruning");
         assert_eq!(stats.rows_scanned, 8 + 3);
         assert_eq!(cube.value(&k(&["F"])), Some(5.0));
@@ -1383,7 +1442,7 @@ mod tests {
 
         let by_band = CubeSpec::measure(vec!["Age_Band", "Gender"], Aggregate::Sum, "FBG");
         let (cube, stats) = Cube::build_with_stats(&wh, &by_band).unwrap();
-        assert_eq!(cube, row_loop(&wh, &by_band));
+        assert_eq!(cube.cells, reference(&wh, &by_band));
         assert!(stats.morsels_executed > 0, "the sealed part: {stats:?}");
         assert_eq!(cube.value(&k(&["80+", "F"])), Some(6.0));
     }
@@ -1421,58 +1480,57 @@ mod tests {
         wh
     }
 
+    /// The name predates the one loop: an oversized domain no longer
+    /// falls back anywhere, it runs on the kernels with sparse slots.
     #[test]
     fn oversized_group_domain_falls_back_to_the_row_loop() {
-        // Two 300-member attributes: the dense domain (300 × 300 =
-        // 90 000) exceeds MAX_DENSE_GROUPS, so the plan declines and
-        // the row loop answers the whole table.
+        // Two 300-member attributes: the domain (300 × 300 = 90 000)
+        // exceeds MAX_DENSE_GROUPS, so the lanes hold a slot per group
+        // that occurs (300) instead of one per group id.
         let wh = wide_warehouse(vec![
             DimensionDef::new("D1", vec!["A"]),
             DimensionDef::new("D2", vec!["B"]),
             DimensionDef::new("D3", vec!["C"]),
         ]);
-        let wide = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
-        let (cube, stats) = Cube::build_with_stats(&wh, &wide).unwrap();
-        assert_eq!(cube, row_loop(&wh, &wide));
-        assert_eq!(
-            stats.morsels_executed, 0,
-            "dense lanes must refuse 90k groups"
-        );
-        assert_eq!(stats.segments_total, 0, "the row loop answered");
-
-        let narrow = CubeSpec::measure(vec!["B"], Aggregate::Sum, "M");
-        let (cube2, stats2) = Cube::build_with_stats(&wh, &narrow).unwrap();
-        assert_eq!(cube2, row_loop(&wh, &narrow));
-        assert!(stats2.morsels_executed > 0, "300 groups fit dense lanes");
+        for axes in [vec!["A", "B"], vec!["B"]] {
+            let spec = CubeSpec::measure(axes, Aggregate::Sum, "M");
+            let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
+            assert_eq!(cube.cells, reference(&wh, &spec));
+            assert_eq!(cube.n_cells(), 300);
+            assert_eq!(stats.segments_total, 3, "{stats:?}");
+            assert_eq!(stats.morsels_executed, 3, "one per segment: {stats:?}");
+        }
     }
 
     #[test]
     fn same_dimension_axes_compose_their_member_codes() {
         // All three attributes live in one 300-tuple dimension (the
         // paper model's shape: Gender and Age_Band share the personal
-        // dimension). Each axis contributes its own member count, so
-        // the kernels run while the member product fits (300 × 5) —
-        // a repeated axis included — and 300 × 300 goes to the row
-        // loop like any other oversized domain.
+        // dimension). Each axis contributes its own member count —
+        // a repeated axis included — and 300 × 300 runs on sparse
+        // slots like any other oversized domain.
         let wh = wide_warehouse(vec![DimensionDef::new("D", vec!["A", "B", "C"])]);
-        for axes in [vec!["A", "C"], vec!["C", "A", "C"]] {
+        for axes in [vec!["A", "C"], vec!["C", "A", "C"], vec!["A", "B"]] {
             let spec = CubeSpec::measure(axes, Aggregate::Sum, "M");
             let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
-            assert_eq!(cube, row_loop(&wh, &spec));
+            assert_eq!(cube.cells, reference(&wh, &spec));
             assert_eq!(cube.n_cells(), 300);
             assert!(stats.morsels_executed > 0, "{:?}: {stats:?}", spec.axes);
+            assert_eq!(stats.segments_total, 3, "{stats:?}");
         }
-        let square = CubeSpec::measure(vec!["A", "B"], Aggregate::Sum, "M");
-        let (cube, stats) = Cube::build_with_stats(&wh, &square).unwrap();
-        assert_eq!(cube, row_loop(&wh, &square));
-        assert_eq!(stats.segments_total, 0, "{stats:?}");
     }
 
     #[test]
     fn planned_columns_are_exactly_what_the_spec_reads() {
         let mut wh = banded_warehouse();
         compact_small(&mut wh);
-        let planned = |spec: CubeSpec| SegmentedScan::plan(&wh, &spec).unwrap().unwrap().columns;
+        let planned = |spec: CubeSpec| {
+            SegmentedScan::plan(&wh, &spec)
+                .unwrap()
+                .sealed_part()
+                .unwrap()
+                .columns
+        };
         // Axis dimensions only: no measure, no other key column.
         assert_eq!(
             planned(CubeSpec::count(vec!["Gender", "Age_Band"])),
@@ -1557,16 +1615,19 @@ mod tests {
         let labels: Vec<Value> = (0..wh.n_facts() as i64).map(Value::Int).collect();
         wh.add_feedback_dimension("Review", "Flag", labels).unwrap();
         // The sealed schema lacks the Review key column, so a spec
-        // reading it is answered by the row loop over the whole table;
-        // a spec that doesn't read it keeps scanning segments.
+        // reading it runs its morsels over fact-table columns, every
+        // row; a spec that doesn't read it keeps scanning segments.
+        // (The name predates the one loop: nothing falls back.)
         let spec = CubeSpec::count(vec!["Flag"]);
         let (cube, stats) = Cube::build_with_stats(&wh, &spec).unwrap();
+        assert_eq!(cube.cells, reference(&wh, &spec));
         assert_eq!(stats.segments_total, 0, "no segment was considered");
+        assert_eq!(stats.morsels_executed, 1, "one fact-table morsel");
         assert_eq!(stats.rows_scanned, wh.n_facts() as u64);
         assert_eq!(cube.grand_total(), Some(wh.n_facts() as f64));
         let unrelated = CubeSpec::count(vec!["Gender"]);
         let (cube2, stats2) = Cube::build_with_stats(&wh, &unrelated).unwrap();
-        assert_eq!(cube2, row_loop(&wh, &unrelated));
+        assert_eq!(cube2.cells, reference(&wh, &unrelated));
         assert_eq!(stats2.segments_total, 3);
         assert_eq!(stats2.rows_scanned, wh.n_facts() as u64);
         // Re-compacting seals the new dimension and re-enables the

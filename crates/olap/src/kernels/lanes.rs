@@ -2,12 +2,13 @@
 //!
 //! Instead of a `HashMap<Vec<u32>, CellStats>` probed per row, the
 //! vectorized path keeps one flat array ("lane") per statistic,
-//! indexed by the dense group id from
+//! indexed by the slot from
 //! [`GroupLayout`](crate::kernels::GroupLayout). Accumulation is then
-//! `lane[gid] op= value` in a tight loop; only at finalisation do
-//! occupied groups materialise into the [`CellStats`] accumulators
+//! `lane[slot] op= value` in a tight loop; only at finalisation do
+//! occupied slots materialise into the [`CellStats`] accumulators
 //! the rest of the engine understands — bit-for-bit equal to what
-//! sequential [`CellStats::push`] calls would have produced.
+//! sequential [`CellStats::push`] calls would have produced, also on
+//! top of a cell a slot was [seeded](AggLanes::seed) with.
 
 use crate::aggregate::CellStats;
 use clinical_types::Value;
@@ -27,7 +28,7 @@ pub enum LaneKind {
     Distinct,
 }
 
-/// Per-group accumulator lanes for one build.
+/// Per-slot accumulator lanes for one build or patch.
 ///
 /// ```
 /// use olap::kernels::{AggLanes, LaneKind};
@@ -59,45 +60,61 @@ pub struct AggLanes {
 }
 
 impl AggLanes {
-    /// Allocate lanes for `groups` dense group ids. Only the lanes
-    /// `kind` needs are sized; the rest stay empty.
-    pub fn new(kind: LaneKind, groups: usize) -> Self {
-        let measure = kind == LaneKind::Measure;
-        AggLanes {
+    /// Allocate lanes for `slots` slots. Only the lanes `kind` needs
+    /// are sized; the rest stay empty.
+    pub fn new(kind: LaneKind, slots: usize) -> Self {
+        let mut lanes = AggLanes {
             kind,
-            rows: vec![0; groups],
-            valid: if measure { vec![0; groups] } else { Vec::new() },
-            sum: if measure {
-                vec![0.0; groups]
-            } else {
-                Vec::new()
-            },
-            min: if measure {
-                vec![0.0; groups]
-            } else {
-                Vec::new()
-            },
-            max: if measure {
-                vec![0.0; groups]
-            } else {
-                Vec::new()
-            },
-            distinct: if kind == LaneKind::Distinct {
-                (0..groups).map(|_| HashSet::new()).collect()
-            } else {
-                Vec::new()
-            },
+            rows: Vec::new(),
+            valid: Vec::new(),
+            sum: Vec::new(),
+            min: Vec::new(),
+            max: Vec::new(),
+            distinct: Vec::new(),
+        };
+        lanes.grow(slots);
+        lanes
+    }
+
+    /// Extend the lanes with empty slots up to `slots` (a no-op when
+    /// they already reach that far).
+    pub fn grow(&mut self, slots: usize) {
+        if slots <= self.rows.len() {
+            return;
+        }
+        self.rows.resize(slots, 0);
+        if self.kind == LaneKind::Measure {
+            self.valid.resize(slots, 0);
+            self.sum.resize(slots, 0.0);
+            self.min.resize(slots, 0.0);
+            self.max.resize(slots, 0.0);
+        }
+        if self.kind == LaneKind::Distinct {
+            self.distinct.resize_with(slots, HashSet::new);
         }
     }
 
-    /// The lane configuration this accumulator was built with.
-    #[inline]
-    pub fn kind(&self) -> LaneKind {
-        self.kind
+    /// Start `slot` from an existing accumulator: rows folded in later
+    /// continue it exactly as [`CellStats::push`] would, where merging a
+    /// fresh accumulator into it would re-associate the sum.
+    pub fn seed(&mut self, slot: u32, cell: &CellStats) {
+        let g = slot as usize;
+        if g >= self.rows.len() {
+            return;
+        }
+        self.rows[g] = cell.rows;
+        if self.kind == LaneKind::Measure {
+            self.valid[g] = cell.valid;
+            self.sum[g] = cell.sum;
+            self.min[g] = cell.min;
+            self.max[g] = cell.max;
+        }
+        if let (LaneKind::Distinct, Some(set)) = (self.kind, &cell.distinct) {
+            self.distinct[g] = set.clone();
+        }
     }
 
-    /// Count one row per group id (the `RowCount` kernel, also the
-    /// fallback when a measure column is absent from the segment).
+    /// Count one row per slot (the `RowCount` kernel).
     pub fn accumulate_rows(&mut self, gids: &[u32]) {
         for &g in gids {
             if let Some(r) = self.rows.get_mut(g as usize) {
@@ -106,7 +123,7 @@ impl AggLanes {
         }
     }
 
-    /// Fold measure values in: `gids[i]` is the group of selected row
+    /// Fold measure values in: `gids[i]` is the slot of selected row
     /// `sel[i]`, whose value is `values[sel[i]]` when
     /// `valid[sel[i]]`. Rows with missing values still count toward
     /// the group's row total, exactly like
@@ -144,8 +161,8 @@ impl AggLanes {
         }
     }
 
-    /// Fold degenerate values into per-group distinct sets; every
-    /// selected row also counts toward its group's row total.
+    /// Fold degenerate values into per-slot distinct sets; every
+    /// selected row also counts toward its slot's row total.
     pub fn accumulate_distinct(&mut self, gids: &[u32], sel: &[u32], values: &[Value]) {
         debug_assert_eq!(self.kind, LaneKind::Distinct);
         for (&g, &row) in gids.iter().zip(sel.iter()) {
@@ -160,8 +177,8 @@ impl AggLanes {
         }
     }
 
-    /// Materialise occupied groups (row count > 0) into
-    /// [`CellStats`], in ascending group-id order.
+    /// Materialise occupied slots (row count > 0) into
+    /// [`CellStats`], in ascending slot order.
     pub fn into_cells(self) -> Vec<(u32, CellStats)> {
         let AggLanes {
             kind,
@@ -278,6 +295,25 @@ mod tests {
             b.rows = 3;
             vec![(0, a), (2, b)]
         });
+    }
+
+    #[test]
+    fn a_seeded_slot_continues_its_cell_like_push() {
+        let mut cell = CellStats::new(false);
+        for x in [0.1, 0.2, 0.3] {
+            cell.push(Some(x), None);
+        }
+        let mut lanes = AggLanes::new(LaneKind::Measure, 0);
+        lanes.grow(2);
+        lanes.seed(1, &cell);
+        let (gids, sel, valid) = ([1, 1, 0], [0, 1, 2], [true, false, true]);
+        lanes.accumulate_measure(&gids, &sel, &[0.4, 0.5, 9.0], &valid);
+        cell.push(Some(0.4), None);
+        cell.push(None, None);
+        let cells = lanes.into_cells();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[1], (1, cell));
+        assert_eq!(cells[0].1.sum, 9.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Vectorized execution kernels: the branch-light columnar engine
-//! behind segmented cube builds.
+//! behind every cube build and delta patch.
 //!
 //! A row-at-a-time scan pays, per row, a set probe for every attribute
 //! filter, a group-key allocation and a hash into a cell map. Over
-//! sealed segments these kernels replace that loop with three passes
+//! sealed segments and fact-table columns alike these kernels replace
+//! that loop with three passes
 //! over dense column slices, each a tight loop over flat fixed-width
 //! arrays the optimiser can unroll and auto-vectorize:
 //!
@@ -12,17 +13,18 @@
 //!    become a [`KeyLut`] probe, measure ranges a branchless
 //!    compare-and-mask. The bitmap then yields a selection vector of
 //!    surviving row indices.
-//! 2. **Group** ([`group`]) — surviving rows are assigned dense group
-//!    ids by a [`GroupLayout`]: each axis maps the row's surrogate key
-//!    to its attribute's member code through a small table, and the
-//!    codes compose by mixed-radix arithmetic (`gid = c₀ + n₀·c₁ + …`),
-//!    so grouping is two gathers and integer math, not hashing. The
-//!    domain is the product of the axis attributes' member counts and
-//!    must fit [`group::MAX_DENSE_GROUPS`].
+//! 2. **Group** ([`group`]) — surviving rows are assigned lane slots
+//!    by a [`GroupLayout`]: each axis maps the row's surrogate key to
+//!    its attribute's member code through a small table, and the codes
+//!    compose by mixed-radix arithmetic (`gid = c₀ + n₀·c₁ + …`), so
+//!    grouping is two gathers and integer math. A domain (the product
+//!    of the axis attributes' member counts) that fits
+//!    [`group::MAX_DENSE_GROUPS`] uses the id as the slot; a larger one
+//!    hashes ids to slots on first sight.
 //! 3. **Aggregate** ([`lanes`]) — one flat accumulator lane per
 //!    statistic (row count, valid count, sum, min, max, distinct
-//!    set), indexed by group id. Lanes finalize into the exact same
-//!    [`crate::CellStats`] accumulators the row-at-a-time paths
+//!    set), indexed by slot. Lanes finalize into the exact
+//!    [`crate::CellStats`] accumulators sequential pushes would
 //!    produce, so every downstream operator (roll-up, slice,
 //!    incremental delta patching) is untouched.
 //!

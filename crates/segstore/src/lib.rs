@@ -4,9 +4,9 @@
 //! immutable, sorted columnar **segments** with per-segment per-column
 //! zone maps, sitting behind the pluggable [`SegmentBackend`] trait.
 //! A background compactor (in `warehouse`) folds the delta log into
-//! fresh segments; the cube engine (in `olap`) scans segments in
-//! parallel, consulting zone maps and the query footprint to skip
-//! whole segments and columns.
+//! fresh segments; the cube engine (in `olap`) scans segments morsel
+//! by morsel, consulting zone maps to skip whole segments and fetching
+//! only the columns a query reads.
 //!
 //! Layering, bottom-up:
 //!
@@ -28,5 +28,5 @@ pub mod zone;
 
 pub use backend::{DiskBackend, MemoryBackend, SegmentBackend};
 pub use encode::{decode_segment, decode_segment_meta, encode_segment, SEGMENT_HEADER};
-pub use segment::{ColumnSet, KeyDictView, MeasureSlice, Segment, SegmentMeta, SegmentSlice};
+pub use segment::{ColumnSet, Segment, SegmentMeta};
 pub use zone::{KeyZone, MeasureZone, DISTINCT_KEY_CAP};

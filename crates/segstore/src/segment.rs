@@ -10,7 +10,6 @@
 use crate::zone::{KeyZone, MeasureZone};
 use clinical_types::{Error, Result, Value};
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// Metadata of one sealed segment: identity, row count and zone maps.
 /// Small enough to keep resident for every segment; pruning never
@@ -43,74 +42,6 @@ impl SegmentMeta {
     /// True when the segment carries a degenerate column `name`.
     pub fn has_degenerate(&self, name: &str) -> bool {
         self.degenerate_columns.iter().any(|c| c == name)
-    }
-
-    /// Dictionary view of one dimension-key column: the surrogate-key
-    /// domain evidence the zone map carries, packaged for kernel
-    /// planners that size lookup tables or group-id spaces from it.
-    pub fn key_dictionary(&self, column: &str) -> Option<KeyDictView<'_>> {
-        self.key_zone(column).map(|zone| KeyDictView { zone })
-    }
-}
-
-/// A read-only dictionary view over one sealed key column, derived
-/// from its [`KeyZone`]: which surrogate keys the segment can contain,
-/// and how large a dense lookup table over them must be.
-///
-/// ```
-/// use segstore::Segment;
-///
-/// let seg = Segment::assemble(
-///     1,
-///     vec![("Visit".into(), vec![2, 5, 2, 9])],
-///     vec![],
-///     vec![],
-/// )?;
-/// let dict = seg.meta.key_dictionary("Visit").expect("sealed column");
-/// assert_eq!(dict.domain(), 10); // keys fit 0..10
-/// assert_eq!(dict.present().collect::<Vec<_>>(), vec![2, 5, 9]);
-/// # Ok::<(), clinical_types::Error>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct KeyDictView<'a> {
-    zone: &'a KeyZone,
-}
-
-impl KeyDictView<'_> {
-    /// Exclusive upper bound of the surrogate-key domain: every key in
-    /// the column is `< domain()`. 0 for an empty column.
-    pub fn domain(&self) -> u32 {
-        if self.zone.min > self.zone.max {
-            0 // empty column sentinel (min = u32::MAX, max = 0)
-        } else {
-            self.zone.max.saturating_add(1)
-        }
-    }
-
-    /// Smallest key present (`None` for an empty column).
-    pub fn min_key(&self) -> Option<u32> {
-        (self.zone.min <= self.zone.max).then_some(self.zone.min)
-    }
-
-    /// The distinct keys provably present, ascending. Exact when the
-    /// zone kept its distinct set (at most
-    /// [`crate::DISTINCT_KEY_CAP`] keys); otherwise every key of
-    /// `min..=max` is yielded as a conservative superset.
-    pub fn present(&self) -> impl Iterator<Item = u32> + '_ {
-        let exact = self.zone.distinct.as_deref();
-        let range = (exact.is_none() && self.zone.min <= self.zone.max)
-            .then_some(self.zone.min..=self.zone.max);
-        exact
-            .map(|keys| keys.iter().copied())
-            .into_iter()
-            .flatten()
-            .chain(range.into_iter().flatten())
-    }
-
-    /// True when [`KeyDictView::present`] is the exact distinct set
-    /// rather than a min..=max superset.
-    pub fn is_exact(&self) -> bool {
-        self.zone.distinct.is_some()
     }
 }
 
@@ -209,113 +140,6 @@ impl Segment {
             .find(|(n, _)| n == name)
             .map(|(_, c)| c.as_slice())
     }
-
-    /// Typed zero-copy view of a contiguous row range — the unit a
-    /// morsel-driven scan hands to its kernels. Errors when `rows`
-    /// exceeds the sealed row count.
-    ///
-    /// ```
-    /// use segstore::Segment;
-    ///
-    /// let seg = Segment::assemble(
-    ///     0,
-    ///     vec![("Visit".into(), vec![0, 0, 1, 1])],
-    ///     vec![("FBG".into(), vec![5.0, 6.0, 7.0, 8.0], vec![true; 4])],
-    ///     vec![],
-    /// )?;
-    /// let slice = seg.slice(1..3)?;
-    /// assert_eq!(slice.key_slice("Visit"), Some(&[0, 1][..]));
-    /// assert_eq!(slice.measure_slice("FBG").expect("column").values, &[6.0, 7.0]);
-    /// # Ok::<(), clinical_types::Error>(())
-    /// ```
-    pub fn slice(&self, rows: Range<usize>) -> Result<SegmentSlice<'_>> {
-        if rows.start > rows.end || rows.end > self.rows() {
-            return Err(Error::invalid(format!(
-                "slice {}..{} out of bounds for a {}-row segment",
-                rows.start,
-                rows.end,
-                self.rows()
-            )));
-        }
-        Ok(SegmentSlice {
-            segment: self,
-            rows,
-        })
-    }
-
-    /// [`Segment::slice`] over every sealed row.
-    pub fn full_slice(&self) -> SegmentSlice<'_> {
-        SegmentSlice {
-            rows: 0..self.rows(),
-            segment: self,
-        }
-    }
-}
-
-/// One measure column over a row range: parallel value and validity
-/// slices (`values[i]` is meaningful only where `valid[i]`).
-#[derive(Debug, Clone, Copy)]
-pub struct MeasureSlice<'a> {
-    /// Measure values (garbage where invalid).
-    pub values: &'a [f64],
-    /// Per-row validity.
-    pub valid: &'a [bool],
-}
-
-/// A typed view of a contiguous row range of a [`Segment`]: dense
-/// column slices resolved by name, all exactly `len()` rows long.
-/// Vectorized kernels consume these instead of whole segments, so a
-/// morsel scheduler can hand out sub-segment work items without
-/// copying columns.
-#[derive(Debug, Clone)]
-pub struct SegmentSlice<'a> {
-    segment: &'a Segment,
-    rows: Range<usize>,
-}
-
-impl<'a> SegmentSlice<'a> {
-    /// Rows in the view.
-    pub fn len(&self) -> usize {
-        self.rows.end - self.rows.start
-    }
-
-    /// True when the view covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The viewed row range within the segment.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// The segment this view borrows from.
-    pub fn segment(&self) -> &'a Segment {
-        self.segment
-    }
-
-    /// Dense surrogate-key slice of one dimension column.
-    pub fn key_slice(&self, name: &str) -> Option<&'a [u32]> {
-        self.segment
-            .key_column(name)
-            .and_then(|col| col.get(self.rows.clone()))
-    }
-
-    /// Value + validity slices of one measure column.
-    pub fn measure_slice(&self, name: &str) -> Option<MeasureSlice<'a>> {
-        let (values, valid) = self.segment.measure_column(name)?;
-        Some(MeasureSlice {
-            values: values.get(self.rows.clone())?,
-            valid: valid.get(self.rows.clone())?,
-        })
-    }
-
-    /// Slice of one degenerate column.
-    pub fn degenerate_slice(&self, name: &str) -> Option<&'a [Value]> {
-        self.segment
-            .degenerate_column(name)
-            .and_then(|col| col.get(self.rows.clone()))
-    }
 }
 
 fn column_length_error(name: &str, got: usize, want: usize) -> Error {
@@ -327,7 +151,8 @@ fn column_length_error(name: &str, got: usize, want: usize) -> Error {
 /// The set of columns a fetch must materialise. Backends may return a
 /// superset (the in-memory backend always returns whole segments for
 /// free); the disk backend decodes only what is requested, which is
-/// how `analyze::QueryFootprint` column pruning reaches storage.
+/// how a cube scan's column pruning — exactly the key, measure and
+/// degenerate columns its spec reads — reaches storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnSet {
     everything: bool,
@@ -468,51 +293,6 @@ mod tests {
         assert_eq!(values.len(), 4);
         assert!(!valid[1]);
         assert_eq!(seg.degenerate_column("PatientId").unwrap().len(), 4);
-    }
-
-    #[test]
-    fn slice_views_are_range_restricted() {
-        let seg = sample_segment(1);
-        let slice = seg.slice(1..3).unwrap();
-        assert_eq!(slice.len(), 2);
-        assert!(!slice.is_empty());
-        assert_eq!(slice.key_slice("Visit").unwrap(), &[0, 1]);
-        assert_eq!(slice.key_slice("Nope"), None);
-        let fbg = slice.measure_slice("FBG").unwrap();
-        assert_eq!(fbg.values, &[0.0, 7.25]);
-        assert_eq!(fbg.valid, &[false, true]);
-        assert_eq!(slice.degenerate_slice("PatientId").unwrap().len(), 2);
-        let full = seg.full_slice();
-        assert_eq!(full.len(), seg.rows());
-        assert_eq!(full.rows(), 0..4);
-        assert!(seg.slice(2..9).is_err());
-        assert!(seg.slice(0..4).is_ok());
-        assert!(seg.slice(4..4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn key_dictionary_exposes_domain_and_present_keys() {
-        let seg = sample_segment(2);
-        let dict = seg.meta.key_dictionary("Personal").unwrap();
-        assert_eq!(dict.domain(), 6);
-        assert_eq!(dict.min_key(), Some(3));
-        assert!(dict.is_exact());
-        assert_eq!(dict.present().collect::<Vec<_>>(), vec![3, 4, 5]);
-        assert!(seg.meta.key_dictionary("Nope").is_none());
-
-        // Past the distinct cap the view degrades to a min..=max superset.
-        let keys: Vec<u32> = (10..200).collect();
-        let big = Segment::assemble(3, vec![("Big".into(), keys)], vec![], vec![]).unwrap();
-        let dict = big.meta.key_dictionary("Big").unwrap();
-        assert!(!dict.is_exact());
-        assert_eq!(dict.domain(), 200);
-        assert_eq!(dict.present().count(), 190);
-
-        let empty = Segment::assemble(4, vec![("E".into(), vec![])], vec![], vec![]).unwrap();
-        let dict = empty.meta.key_dictionary("E").unwrap();
-        assert_eq!(dict.domain(), 0);
-        assert_eq!(dict.min_key(), None);
-        assert_eq!(dict.present().count(), 0);
     }
 
     #[test]

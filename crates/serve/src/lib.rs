@@ -110,4 +110,4 @@ pub use request::{
     CubeResult, OutcomePayload, QueryOutcome, QueryRequest, ReportMeasure, ReportSpec,
 };
 pub use router::{ReplicaRouter, ReplicaStatus, RouterConfig, RouterSnapshot};
-pub use service::{default_slos, QueryService, ServeConfig, Served, ServedSource};
+pub use service::{QueryService, ServeConfig, Served, ServedSource};

@@ -70,10 +70,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Total results held by the cache.
     pub cache_capacity: usize,
-    /// Cache shard count (lock-contention bound).
-    pub cache_shards: usize,
-    /// Deadline applied by [`QueryService::execute`].
-    pub default_deadline: Duration,
     /// Consecutive execution failures that trip the circuit breaker
     /// into degraded mode.
     pub breaker_threshold: u32,
@@ -95,11 +91,6 @@ pub struct ServeConfig {
     /// `watchdog.stall` black-box dump per episode). Zero disables stall
     /// detection.
     pub worker_stall_budget: Duration,
-    /// Service-level objectives evaluated from the serve metrics
-    /// registry on every [`QueryService::metrics_text`] /
-    /// [`QueryService::slo_status`] call (scrape-driven, like
-    /// Prometheus recording rules).
-    pub slos: Vec<SloSpec>,
     /// Per-user admission quota enforced by
     /// [`QueryService::execute_for`] ahead of admission; `None`
     /// disables per-session limiting (the aggregate in-flight bound
@@ -112,10 +103,19 @@ pub struct ServeConfig {
     pub domain: String,
 }
 
-/// The stock objectives: 99% of requests under 100 ms, and a 99.9%
+/// Cache shard count (lock-contention bound).
+const CACHE_SHARDS: usize = 8;
+
+/// Deadline applied by [`QueryService::execute`].
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The service-level objectives evaluated from the serve metrics
+/// registry on every [`QueryService::metrics_text`] /
+/// [`QueryService::slo_status`] call (scrape-driven, like Prometheus
+/// recording rules): 99% of requests under 100 ms, and a 99.9%
 /// execution success rate. Both use the default 5 m / 1 h burn-rate
 /// windows.
-pub fn default_slos() -> Vec<SloSpec> {
+fn slos() -> Vec<SloSpec> {
     vec![
         SloSpec::latency("serve_latency", "serve_latency_us", 100_000, 0.99),
         SloSpec::error_rate(
@@ -133,15 +133,12 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 256,
-            cache_shards: 8,
-            default_deadline: Duration::from_secs(5),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             retry: RetryPolicy::default(),
             watchdog: true,
             watchdog_interval: Duration::from_millis(25),
             worker_stall_budget: Duration::from_secs(10),
-            slos: default_slos(),
             quota: None,
             domain: "primary".to_string(),
         }
@@ -246,7 +243,6 @@ pub struct QueryService {
     /// Executions admitted at once: `workers + queue_depth`.
     max_in_flight: usize,
     queue_depth: usize,
-    default_deadline: Duration,
     /// The sampling thread, when `ServeConfig::watchdog` asked for
     /// one; joined on drain so shutdown leaves no thread behind.
     watchdog: Option<Watchdog>,
@@ -288,14 +284,14 @@ impl QueryService {
         let shared = Arc::new(Shared {
             warehouse: RankedRwLock::new(LockRank::Warehouse, "serve.warehouse", warehouse),
             catalog: RankedRwLock::new(LockRank::Catalog, "serve.catalog", catalog),
-            cache: ResultCache::new(config.cache_capacity, config.cache_shards),
+            cache: ResultCache::new(config.cache_capacity, CACHE_SHARDS),
             flights: FlightTable::default(),
             metrics: ServeMetrics::default(),
             accepting: AtomicBool::new(true),
             in_flight: AtomicUsize::new(0),
             breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
             retry: config.retry,
-            slo: SloEngine::new(config.slos.clone()),
+            slo: SloEngine::new(slos()),
             stall_budget: config.worker_stall_budget,
             quotas: config.quota.clone().map(AdmissionQuotas::new),
             domain: config.domain.clone(),
@@ -335,12 +331,11 @@ impl QueryService {
             shared,
             max_in_flight: config.workers.max(1) + queue_depth,
             queue_depth,
-            default_deadline: config.default_deadline,
             watchdog,
         })
     }
 
-    /// Serve `request` under the configured default deadline.
+    /// Serve `request` under the default five-second deadline.
     ///
     /// ```
     /// use serve::{QueryRequest, QueryService, ReportSpec, ServeConfig, ServedSource};
@@ -367,7 +362,7 @@ impl QueryService {
     /// # Ok::<(), clinical_types::Error>(())
     /// ```
     pub fn execute(&self, request: &QueryRequest) -> ServeResult<Served> {
-        self.execute_with_deadline(request, self.default_deadline)
+        self.execute_with_deadline(request, DEFAULT_DEADLINE)
     }
 
     /// Serve `request` on behalf of `session`, spending one token from

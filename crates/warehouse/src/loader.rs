@@ -377,44 +377,20 @@ impl Warehouse {
     }
 
     /// Materialise the per-fact values of a dimension attribute: the
-    /// resolved (key → tuple) column, length [`Self::n_facts`]. This is
-    /// the access path the OLAP engine groups on.
+    /// resolved (key → tuple) column, length [`Self::n_facts`].
     pub fn attribute_column(&self, attribute: &str) -> Result<Vec<&Value>> {
-        self.attribute_column_range(attribute, 0..self.n_facts())
-    }
-
-    /// [`Self::attribute_column`] restricted to the fact rows in
-    /// `rows` — the access path for incremental cube maintenance,
-    /// where only a delta's appended range needs resolving. Cost is
-    /// O(`rows.len()`), not O(total facts).
-    pub fn attribute_column_range(
-        &self,
-        attribute: &str,
-        rows: Range<usize>,
-    ) -> Result<Vec<&Value>> {
         let (di, ai) = self.find_attribute(attribute)?;
         let dim = self
             .dims
             .get(di)
             .ok_or_else(|| Error::invalid(format!("dangling dimension index {di}")))?;
-        let keys = self.fact.keys_of(&dim.name)?;
-        let slice = keys.get(rows.clone()).ok_or_else(|| {
-            Error::invalid(format!(
-                "row range {}..{} exceeds {} facts",
-                rows.start,
-                rows.end,
-                keys.len()
-            ))
-        })?;
-        let mut out = Vec::with_capacity(slice.len());
-        for &k in slice {
-            let value = dim
-                .tuple(k)
-                .and_then(|tuple| tuple.get(ai))
-                .ok_or_else(|| Error::invalid(format!("dangling key {k} in `{}`", dim.name)))?;
-            out.push(value);
-        }
-        Ok(out)
+        let dangling = |k| Error::invalid(format!("dangling key {k} in `{}`", dim.name));
+        let value = |&k: &u32| {
+            dim.tuple(k)
+                .and_then(|t| t.get(ai))
+                .ok_or_else(|| dangling(k))
+        };
+        self.fact.keys_of(&dim.name)?.iter().map(value).collect()
     }
 
     /// Measure column by name.
@@ -727,23 +703,14 @@ mod tests {
     }
 
     #[test]
-    fn attribute_column_range_matches_the_full_column() {
-        let mut wh = Warehouse::load(&LoadPlan::from_star(mini_star()), &mini_table()).unwrap();
+    fn appended_rows_resolve_in_the_attribute_column_as_on_their_own() {
+        let plan = LoadPlan::from_star(mini_star());
+        let mut wh = Warehouse::load(&plan, &mini_table()).unwrap();
         wh.append(&mini_table()).unwrap();
-        let full: Vec<String> = wh
-            .attribute_column("Gender")
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        let tail: Vec<String> = wh
-            .attribute_column_range("Gender", 4..8)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        assert_eq!(tail, full[4..]);
-        assert!(wh.attribute_column_range("Gender", 4..9).is_err());
+        let alone = Warehouse::load(&plan, &mini_table()).unwrap();
+        let full = wh.attribute_column("Gender").unwrap();
+        assert_eq!(full.len(), 8);
+        assert_eq!(full[4..], alone.attribute_column("Gender").unwrap()[..]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The dimensional model: facts, dimensions, hierarchies.
 //!
-//! §III of the paper, after Kimball [10] and Agrawal et al. [12]: a
+//! §III of the paper, after Kimball \[10\] and Agrawal et al. \[12\]: a
 //! subject-oriented star structure in which a fact table of numeric
 //! measures is linked to dimension tables of descriptive attributes,
 //! some of which form drill-down hierarchies.

@@ -1,27 +1,29 @@
-//! Which path answered — and that every path answers the same.
+//! Which columns answered — and that every state answers the same.
 //!
-//! `Cube::build_with_stats` takes no options: the warehouse's sealed
-//! state and the spec select one of two paths, and [`ScanStats`] says
-//! which one ran. This suite runs the eight query shapes of the
-//! benchmark's scan deck over a small DiScRi warehouse in four states,
-//! checks every answer cell for cell against the naive oracle, and
-//! pins the selector of each path:
+//! `Cube::build_with_stats` takes no options and runs one loop: filter
+//! bitmap → member-code slots → aggregate lanes, morsel by morsel. The
+//! warehouse's sealed state and the spec decide only which columns the
+//! morsels read, and [`ScanStats`] says which:
 //!
-//! * **row loop** over the whole fact table — nothing is sealed, or
-//!   the spec reads a dimension the sealed segments do not carry;
-//! * **kernels** over the zone-map survivors — everything else: groups
-//!   are composed from the axis attributes' member codes, so every
-//!   deck shape (the paper's Fig. 6 band × band included) fits the
-//!   dense lanes.
+//! * **fact columns** alone (`segments_total == 0`) — nothing is
+//!   sealed, the sealed rows cannot be proven current, or the spec
+//!   reads a dimension the sealed segments do not carry;
+//! * **segments** (`segments_total > 0`) — the zone-map survivors,
+//!   then the fact rows behind the sealed prefix as morsels of their
+//!   own, which `morsels_executed` and `rows_scanned` count.
 //!
-//! Behind sealed segments the mutable tail always goes through the row
-//! loop, which `rows_scanned` shows. A randomised deck over all thirty
-//! star attributes then checks the kernels against the same oracle.
+//! This suite runs the eight query shapes of the benchmark's scan deck
+//! over a small DiScRi warehouse in four states, checks every answer
+//! cell for cell against the naive oracle, and pins the columns and
+//! the morsel count of each state. A randomised deck over all thirty
+//! star attributes and three warehouse states then checks the loop
+//! against the same oracle.
 
 #[path = "common/oracle.rs"]
 mod oracle;
 
 use clinical_types::{DataType, FieldDef, Record, Table, Value};
+use olap::kernels::DEFAULT_MORSEL_ROWS;
 use olap::{Aggregate, Cube, CubeFilter, CubeSpec, PivotTable, ScanStats};
 use oracle::{Agg, Cells, Query};
 use proptest::prelude::*;
@@ -31,17 +33,28 @@ use warehouse::{CompactionConfig, LoadPlan, Warehouse};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Path {
-    RowLoop,
-    Kernels,
+    FactColumns,
+    Segments,
 }
 
-/// The path, read off the statistics alone.
+/// The columns the morsels read, told by the statistics alone.
 fn path_of(stats: &ScanStats) -> Path {
     if stats.segments_total == 0 {
-        Path::RowLoop
+        Path::FactColumns
     } else {
-        Path::Kernels
+        Path::Segments
     }
+}
+
+/// Morsels a scan of `rows` fact-table rows runs.
+fn fact_morsels(rows: u64) -> u64 {
+    rows.div_ceil(DEFAULT_MORSEL_ROWS as u64)
+}
+
+/// Morsels a scan of segments and `tail` fact rows runs: the segments
+/// hold 128 rows each, so one morsel per surviving segment.
+fn morsels_over_segments(stats: &ScanStats, tail: u64) -> u64 {
+    stats.segments_total - stats.segments_pruned + fact_morsels(tail)
 }
 
 /// ~1 300 transformed attendances: enough distinct patients that the
@@ -220,24 +233,26 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     let n = table.len() as u64;
     let mut seen = BTreeSet::new();
 
-    // Nothing sealed: the row loop answers everything.
+    // Nothing sealed: morsels over the fact columns answer everything.
     let unsealed = run_deck(&load(table), table, "unsealed");
     for (name, stats) in &unsealed {
-        assert_eq!(path_of(stats), Path::RowLoop, "{name}: {stats:?}");
+        assert_eq!(path_of(stats), Path::FactColumns, "{name}: {stats:?}");
         assert_eq!(stats.rows_scanned, n, "{name} reads the whole table");
         assert_eq!(stats.segments_pruned, 0);
+        assert_eq!(stats.morsels_executed, fact_morsels(n), "{name}: {stats:?}");
     }
     seen.extend(unsealed.values().map(path_of));
 
-    // Everything sealed: the kernels answer every shape, and zone
+    // Everything sealed: the segments answer every shape, and zone
     // maps prune.
     let mut wh = load(table);
     seal(&mut wh);
     let segments = wh.segments().len() as u64;
     let sealed = run_deck(&wh, table, "sealed");
     for (name, stats) in &sealed {
-        assert_eq!(path_of(stats), Path::Kernels, "{name}: {stats:?}");
-        assert!(stats.morsels_executed > 0, "{name}: {stats:?}");
+        assert_eq!(path_of(stats), Path::Segments, "{name}: {stats:?}");
+        let morsels = morsels_over_segments(stats, 0);
+        assert_eq!(stats.morsels_executed, morsels, "{name}: {stats:?}");
         assert_eq!(stats.segments_total, segments);
         if *name == "selective" {
             assert!(stats.segments_pruned > 0, "zone maps prune: {stats:?}");
@@ -250,7 +265,7 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
 
     // A feedback dimension added after sealing: specs that do not read
     // it scan exactly as before; a spec that does is beyond the sealed
-    // schema and goes to the row loop.
+    // schema, and its morsels read the fact columns alone.
     let labels: Vec<Value> = (0..table.len())
         .map(|i| ["reviewed", "unreviewed", "flagged"][i % 3].into())
         .collect();
@@ -269,16 +284,18 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     let flagged = Table::from_rows(schema, flagged_rows.collect()).unwrap();
     let by_flag = shape("by_flag", ["Flag", "Gender"], Agg::Avg("FBG"));
     let stats = run(&wh, &flagged, &by_flag, "sealed + feedback");
-    assert_eq!(path_of(&stats), Path::RowLoop, "{stats:?}");
+    assert_eq!(path_of(&stats), Path::FactColumns, "{stats:?}");
     assert_eq!(stats.rows_scanned, n);
+    assert_eq!(stats.morsels_executed, fact_morsels(n), "{stats:?}");
 
-    // A sealed prefix and an appended tail: the kernels run over the
-    // segments, and the tail's rows are on top.
+    // A sealed prefix and an appended tail: morsels over the segments,
+    // then one over the tail's 200 fact rows.
     let wh = sealed_with_tail(table);
     let tailed = run_deck(&wh, table, "sealed + tail");
     for (name, stats) in &tailed {
-        assert_eq!(path_of(stats), Path::Kernels, "{name}: {stats:?}");
-        assert!(stats.morsels_executed > 0, "{name}: {stats:?}");
+        assert_eq!(path_of(stats), Path::Segments, "{name}: {stats:?}");
+        let morsels = morsels_over_segments(stats, 200);
+        assert_eq!(stats.morsels_executed, morsels, "{name}: {stats:?}");
         assert_eq!(stats.segments_total, wh.segments().len() as u64);
         if *name == "selective" {
             assert!(stats.segments_pruned > 0, "the tail does not stop pruning");
@@ -292,29 +309,33 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
     // A member no sealed row has: every tail row's activity is one the
     // sealed rows never saw, so those rows intern new tuples and a new
     // member. Grouped on, the sealed part still runs morsels and the
-    // new member's cells come from the tail; filtered on, the zone
-    // maps prune every segment and the tail alone answers.
+    // new member's cells come from the tail morsel; filtered on, the
+    // zone maps prune every segment and the tail morsel alone answers.
     let n_rows = table.len();
     let novel = with_value(table, n_rows - 200..n_rows, "ActivityType", "curling");
     let wh = sealed_with_tail(&novel);
     let state = "sealed + novel tail";
     let by_activity = shape("by_activity", ["ActivityType", "Gender"], Agg::Count);
     let stats = run(&wh, &novel, &by_activity, state);
-    assert_eq!(path_of(&stats), Path::Kernels, "{stats:?}");
-    assert!(stats.morsels_executed > 0, "{stats:?}");
+    assert_eq!(path_of(&stats), Path::Segments, "{stats:?}");
+    let morsels = morsels_over_segments(&stats, 200);
+    assert_eq!(stats.morsels_executed, morsels, "{stats:?}");
     assert_eq!(stats.rows_scanned, n);
     let only_tail = shape("only_tail", ["Age_Band", "Gender"], Agg::Avg("FBG"))
         .equals("ActivityType", "curling");
     let stats = run(&wh, &novel, &only_tail, state);
-    assert_eq!(path_of(&stats), Path::Kernels, "{stats:?}");
+    assert_eq!(path_of(&stats), Path::Segments, "{stats:?}");
     assert_eq!(stats.segments_pruned, stats.segments_total, "{stats:?}");
-    assert_eq!(stats.morsels_executed, 0, "nothing sealed survives");
+    assert_eq!(
+        stats.morsels_executed, 1,
+        "nothing sealed survives: the tail morsel only"
+    );
     assert_eq!(stats.rows_scanned, 200, "the tail only");
 
     assert_eq!(
         seen,
-        BTreeSet::from([Path::RowLoop, Path::Kernels]),
-        "the matrix must reach both paths"
+        BTreeSet::from([Path::FactColumns, Path::Segments]),
+        "the matrix must read both kinds of columns"
     );
 }
 
@@ -324,22 +345,29 @@ const MEASURES: [&str; 4] = ["FBG", "HbA1c", "BMI", "Age"];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random specs on the sealed + tail warehouse: one to three axes
-    /// drawn with replacement from every attribute of the star (so
-    /// same-dimension pairs and repeated axes occur), an optional
-    /// `equals` on a value some row really has, an optional measure
-    /// range, any aggregate — cell for cell against the oracle, always
-    /// on the kernels.
+    /// Random specs on a random warehouse state — unsealed, sealed +
+    /// tail, or rewritten since its compaction (so its segments cannot
+    /// be used): one to three axes drawn with replacement from every
+    /// attribute of the star (so same-dimension pairs and repeated
+    /// axes occur), an optional `equals` on a value some row really
+    /// has, an optional measure range, any aggregate — cell for cell
+    /// against the oracle, always on the kernels.
     #[test]
     fn random_specs_run_on_the_kernels_and_match_the_oracle(
+        state in 0..3usize,
         axes in proptest::collection::vec(0..30usize, 1..4),
         equals in proptest::option::of((0..30usize, 0..1_000_000usize)),
         between in proptest::option::of((0..4usize, 0.0..1.0f64, 0.0..1.0f64)),
         agg in (0..6usize, 0..4usize),
     ) {
-        static WAREHOUSE: OnceLock<Warehouse> = OnceLock::new();
+        static WAREHOUSES: OnceLock<[Warehouse; 3]> = OnceLock::new();
         let table = table();
-        let wh = WAREHOUSE.get_or_init(|| sealed_with_tail(table));
+        let warehouses = WAREHOUSES.get_or_init(|| {
+            let mut rewritten = sealed_with_tail(table);
+            rewritten.bump_epoch();
+            [load(table), sealed_with_tail(table), rewritten]
+        });
+        let wh = &warehouses[state];
         let attributes: Vec<&str> = (wh.star().dimensions.iter())
             .flat_map(|d| d.attributes.iter().map(String::as_str))
             .collect();
@@ -374,6 +402,8 @@ proptest! {
         let what = format!("{query:?}");
         let (cube, stats) = Cube::build_with_stats(wh, &spec_of(&query)).unwrap();
         oracle::assert_same_cells(&cube_cells(&cube), &oracle::answer(table, &query), &what);
-        prop_assert_eq!(path_of(&stats), Path::Kernels, "{}: {:?}", what, stats);
+        let path = if state == 1 { Path::Segments } else { Path::FactColumns };
+        prop_assert_eq!(path_of(&stats), path, "{}: {:?}", what, stats);
+        prop_assert!(stats.morsels_executed > 0, "{}: {:?}", what, stats);
     }
 }
