@@ -283,7 +283,7 @@ pub fn explain(code: &str) -> Option<&'static str> {
              under fault injection this turns a slow disk into a frozen \
              process. Drop the guard first, or move the blocking call out of \
              the critical section. Deliberate pairings (a condvar wait's own \
-             mutex, a WAL mutex whose entire job is serialising the write) \
+             mutex, an oplog mutex whose entire job is serialising the write) \
              are escaped with lint:allow(A301, \"reason\")."
         }
         Code::A302LockAcrossCatchUnwind => {

@@ -14,7 +14,7 @@
 //! system into every crate.
 //!
 //! [`wire`] is the one byte-level codec behind everything the workspace
-//! persists: the OLTP WAL, warehouse segments and the replication oplog.
+//! persists: warehouse segments and the replication oplog.
 
 pub mod csv;
 pub mod date;

@@ -19,7 +19,7 @@
 //! * **Fig. 6 shape** — among hypertensives aged 70–80, the
 //!   "5–10 years since diagnosis" band dips relative to neighbouring
 //!   age groups.
-//! * **§V insight (AWSum, ref [9])** — absent knee/ankle reflexes
+//! * **§V insight (AWSum, ref \[9\])** — absent knee/ankle reflexes
 //!   combined with a mid-range fasting blood glucose is strongly
 //!   predictive of diabetes (latent pre-clinical neuropathy).
 //! * **Time-course structure** — each patient follows a noisy

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the DD-DGMS stack.
 //!
 //! Production resource code calls [`point`] at every place an I/O or
-//! scheduling operation can genuinely fail — a WAL append, a warehouse
+//! scheduling operation can genuinely fail — an oplog append, a warehouse
 //! load, an OLAP segment scan, a serve execution. In normal
 //! operation nothing is armed and the call is a single relaxed atomic
 //! load (the same zero-cost-when-disabled discipline as `obs`

@@ -1,6 +1,6 @@
 //! AWSum — the classifier of Quinn, Stranieri, Yearwood, Hafen &
 //! Jelinek, *"AWSum: Combining Classification with Knowledge
-//! Acquisition"* (paper reference [9]).
+//! Acquisition"* (paper reference \[9\]).
 //!
 //! AWSum assigns every feature *value* an influence towards each class
 //! (the conditional class distribution given that value) and

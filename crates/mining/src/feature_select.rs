@@ -1,6 +1,6 @@
 //! Wrapper–filter hybrid feature selection.
 //!
-//! Paper reference [21] (Huda, Jelinek, Ray, Stranieri & Yearwood)
+//! Paper reference \[21\] (Huda, Jelinek, Ray, Stranieri & Yearwood)
 //! identifies cardiovascular autonomic neuropathy features with a
 //! hybrid of filter ranking and wrapper search. We implement the same
 //! shape: a mutual-information **filter** ranks all features cheaply,

@@ -15,7 +15,7 @@
 //! * [`naive_bayes`] — categorical naive Bayes with Laplace smoothing.
 //! * [`decision_tree`] — information-gain decision tree induction.
 //! * [`awsum`] — the AWSum classifier of Quinn, Stranieri, Yearwood,
-//!   Hafen & Jelinek [9]: interpretable per-value influence weights
+//!   Hafen & Jelinek \[9\]: interpretable per-value influence weights
 //!   plus the feature-*pair* interaction mining that surfaced the
 //!   paper's "absent reflexes + mid-range glucose → diabetes" insight.
 //! * [`knn`] — k-nearest-neighbour over categorical features.
@@ -23,7 +23,7 @@
 //!   (support / confidence / lift).
 //! * [`kmeans`] — k-means clustering of numeric measure vectors.
 //! * [`feature_select`] — the wrapper–filter hybrid of Huda et al.
-//!   [21]: mutual-information filter ranking followed by greedy
+//!   \[21\]: mutual-information filter ranking followed by greedy
 //!   forward wrapper selection.
 
 pub mod apriori;

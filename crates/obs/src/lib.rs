@@ -17,7 +17,7 @@
 //!   [`RankedMutex`]/[`RankedRwLock`] wrappers that assert ascending
 //!   acquisition order in debug builds (the dynamic half of the
 //!   concurrency auditor; `repo-lint --locks` is the static half).
-//! * [`recorder`] — the always-on flight recorder: a thread-sharded
+//! * [`mod@recorder`] — the always-on flight recorder: a thread-sharded
 //!   ring of recent spans, events, failpoint hits, lock acquisitions
 //!   and metric deltas that snapshots into a JSONL [`BlackBox`] when
 //!   an incident trigger fires.

@@ -78,16 +78,14 @@ pub enum LockRank {
     Heap = 9,
     /// OLTP secondary-index maps (filled under the heap read lock).
     Index = 10,
-    /// The write-ahead-log writer.
-    Wal = 11,
     /// The durable oplog writer — appended to under the primary's
     /// warehouse write lock (and read under a replica's cursor lock),
     /// making it the innermost lock in the stack.
-    Oplog = 12,
+    Oplog = 11,
 }
 
 /// Every rank in ascending acquisition order.
-pub const ALL_RANKS: [LockRank; 13] = [
+pub const ALL_RANKS: [LockRank; 12] = [
     LockRank::Admission,
     LockRank::FlightSlot,
     LockRank::Breaker,
@@ -99,7 +97,6 @@ pub const ALL_RANKS: [LockRank; 13] = [
     LockRank::SegmentSet,
     LockRank::Heap,
     LockRank::Index,
-    LockRank::Wal,
     LockRank::Oplog,
 ];
 
@@ -119,7 +116,6 @@ impl LockRank {
             LockRank::SegmentSet => "SegmentSet",
             LockRank::Heap => "Heap",
             LockRank::Index => "Index",
-            LockRank::Wal => "Wal",
             LockRank::Oplog => "Oplog",
         }
     }
@@ -521,9 +517,9 @@ mod tests {
     fn descending_acquisition_panics_naming_both_locks() {
         let _fl = flag_lock();
         set_rank_checks(true);
-        let wal = RankedMutex::new(LockRank::Wal, "t.wal", ());
+        let oplog = RankedMutex::new(LockRank::Oplog, "t.oplog", ());
         let wh = RankedRwLock::new(LockRank::Warehouse, "t.warehouse", ());
-        let g = wal.lock();
+        let g = oplog.lock();
         let err = catch_unwind(AssertUnwindSafe(|| {
             let _bad = wh.write();
         }))
@@ -533,7 +529,7 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "<non-string payload>".into());
         assert!(msg.contains("t.warehouse"), "{msg}");
-        assert!(msg.contains("t.wal"), "{msg}");
+        assert!(msg.contains("t.oplog"), "{msg}");
         assert!(msg.contains("lock-rank violation"), "{msg}");
         drop(g);
         assert!(held_ranks().is_empty());
@@ -559,9 +555,9 @@ mod tests {
     fn disabled_checks_track_nothing() {
         let _fl = flag_lock();
         set_rank_checks(false);
-        let wal = RankedMutex::new(LockRank::Wal, "t.wal", ());
+        let oplog = RankedMutex::new(LockRank::Oplog, "t.oplog", ());
         let wh = RankedRwLock::new(LockRank::Warehouse, "t.wh", ());
-        let g1 = wal.lock();
+        let g1 = oplog.lock();
         let g2 = wh.write(); // inverted, but checks are off
         assert!(held_ranks().is_empty());
         drop(g2);
@@ -591,12 +587,12 @@ mod tests {
     fn try_lock_is_rank_checked_and_threads_are_independent() {
         let _fl = flag_lock();
         set_rank_checks(true);
-        let wal = std::sync::Arc::new(RankedMutex::new(LockRank::Wal, "t.wal", ()));
-        let g = wal.try_lock().expect("uncontended try_lock succeeds");
+        let oplog = std::sync::Arc::new(RankedMutex::new(LockRank::Oplog, "t.oplog", ()));
+        let g = oplog.try_lock().expect("uncontended try_lock succeeds");
         // Another thread has its own empty held stack.
-        let wal2 = std::sync::Arc::clone(&wal);
+        let oplog2 = std::sync::Arc::clone(&oplog);
         let handle = std::thread::spawn(move || {
-            assert!(wal2.try_lock().is_none(), "contended try_lock fails");
+            assert!(oplog2.try_lock().is_none(), "contended try_lock fails");
             held_ranks().len()
         });
         assert_eq!(handle.join().expect("thread joins"), 0);

@@ -797,7 +797,7 @@ mod tests {
             at_us: 0, // will survive: window is an hour
         });
         recorder.push(FlightRecord::Failpoint {
-            name: "wal.append".into(),
+            name: "oplog.append".into(),
             fired: false,
             at_us: monotonic_us(),
             thread: "main".into(),

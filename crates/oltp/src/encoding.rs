@@ -24,7 +24,7 @@ mod tests {
 
     #[test]
     fn crc32_detects_compensating_byte_pairs() {
-        // The +1/-31 pair that fooled the WAL v1 positional sum.
+        // The +1/-31 pair that fools a positional byte sum.
         let clean = [10u8, 200, 130, 40];
         let mut tampered = clean;
         tampered[1] += 1;

@@ -293,7 +293,8 @@ impl QueryEngine {
     /// Flat hash group-by over the matching rows: group by
     /// `group_columns`, aggregate `measure` with `agg`. `measure` may
     /// be `None` only for [`AggFn::Count`]. Rows with a NULL grouping
-    /// cell go to a `NULL` key group.
+    /// cell go to a `NULL` key group. Every aggregate but COUNT is
+    /// `NaN` for a group whose measure is NULL on every row.
     pub fn group_by(
         &self,
         predicate: &Predicate,
@@ -353,28 +354,11 @@ impl QueryEngine {
             .map(|(key, acc)| {
                 let value = match agg {
                     AggFn::Count => acc.count as f64,
+                    _ if !acc.seen => f64::NAN,
                     AggFn::Sum => acc.sum,
-                    AggFn::Avg => {
-                        if acc.count == 0 {
-                            f64::NAN
-                        } else {
-                            acc.sum / acc.count as f64
-                        }
-                    }
-                    AggFn::Min => {
-                        if acc.seen {
-                            acc.min
-                        } else {
-                            f64::NAN
-                        }
-                    }
-                    AggFn::Max => {
-                        if acc.seen {
-                            acc.max
-                        } else {
-                            f64::NAN
-                        }
-                    }
+                    AggFn::Avg => acc.sum / acc.count as f64,
+                    AggFn::Min => acc.min,
+                    AggFn::Max => acc.max,
                 };
                 (key, value)
             })
@@ -559,6 +543,16 @@ mod tests {
             .group_by(&Predicate::True, &[], AggFn::Sum, Some("FBG"))
             .unwrap();
         assert!((sum.get(&[]).unwrap() - 33.0).abs() < 1e-9);
+
+        // The age-81 row's FBG is NULL: its group has no value for
+        // SUM, MIN or MAX, while the other groups keep theirs.
+        for agg in [AggFn::Sum, AggFn::Min, AggFn::Max] {
+            let by_age = e
+                .group_by(&Predicate::True, &["Age"], agg, Some("FBG"))
+                .unwrap();
+            assert!(by_age.get(&[Value::Int(81)]).unwrap().is_nan(), "{agg:?}");
+            assert_eq!(by_age.get(&[Value::Int(74)]), Some(7.4), "{agg:?}");
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ struct Heap {
 /// Concurrency model: a single reader–writer lock over the heap —
 /// plenty for the clinical-workstation scale the paper targets, and
 /// simple to reason about. Secondary indexes live *outside* the store
-/// (see [`crate::index`]) and are maintained by the caller or a
-/// [`crate::Transaction`].
+/// (see [`crate::index`]) and are maintained by the caller or by
+/// [`crate::QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct RowStore {
     schema: Arc<Schema>,
@@ -103,44 +103,6 @@ impl RowStore {
             .ok_or_else(|| Error::invalid(format!("row {id} is already deleted")))?;
         heap.live -= 1;
         decode_row(&old)
-    }
-
-    /// Remove a freshly inserted row, releasing its id when it is the
-    /// newest slot so the id allocator rewinds too (used by WAL
-    /// rollback when the log append fails — otherwise replay would
-    /// drift past the burned id).
-    pub(crate) fn rollback_insert(&self, id: RowId) -> Result<()> {
-        let mut heap = self.heap.write();
-        let is_last = id as usize + 1 == heap.slots.len();
-        let slot = heap
-            .slots
-            .get_mut(id as usize)
-            .ok_or_else(|| Error::invalid(format!("row {id} does not exist")))?;
-        if slot.payload.take().is_none() {
-            return Err(Error::invalid(format!("row {id} is already deleted")));
-        }
-        heap.live -= 1;
-        if is_last {
-            heap.slots.pop();
-        }
-        Ok(())
-    }
-
-    /// Restore a previously deleted row at its original id (used by
-    /// transaction rollback).
-    pub(crate) fn undelete(&self, id: RowId, record: Record) -> Result<()> {
-        self.schema.check_row(record.values())?;
-        let mut heap = self.heap.write();
-        let slot = heap
-            .slots
-            .get_mut(id as usize)
-            .ok_or_else(|| Error::invalid(format!("row {id} does not exist")))?;
-        if slot.payload.is_some() {
-            return Err(Error::invalid(format!("row {id} is not deleted")));
-        }
-        slot.payload = Some(encode_row(&record));
-        heap.live += 1;
-        Ok(())
     }
 
     /// Number of live (non-deleted) rows.
@@ -258,10 +220,6 @@ mod tests {
         assert_eq!(store.get(id).unwrap(), None);
         assert_eq!(store.len(), 0);
         assert_eq!(store.capacity(), 1);
-
-        store.undelete(id, deleted).unwrap();
-        assert_eq!(store.len(), 1);
-        assert!(store.get(id).unwrap().is_some());
     }
 
     #[test]

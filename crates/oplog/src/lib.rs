@@ -7,10 +7,10 @@
 //! revalidate but not enough to rebuild state elsewhere. This crate
 //! re-derives that delta stream as a **durable change feed**: every
 //! primary-side mutation is captured as a self-contained
-//! [`warehouse::WarehouseChange`], framed with the same CRC-32 frame
-//! the OLTP write-ahead log uses ([`clinical_types::wire`]), stamped
-//! with a monotone [`LogPos`] `(epoch, seq)`, and appended to an
-//! [`Oplog`] that read replicas tail.
+//! [`warehouse::WarehouseChange`], framed with the CRC-32 frame that
+//! sealed segments use too ([`clinical_types::wire`]), stamped with a
+//! monotone [`LogPos`] `(epoch, seq)`, and appended to an [`Oplog`]
+//! that read replicas tail.
 //!
 //! * [`record`] — the `(epoch, seq)` position and the record body
 //!   codec, built on the shared row codec.
@@ -18,10 +18,11 @@
 //!   torn-tail recovery on open, age-out via
 //!   [`Oplog::truncate_before`], and the [`Oplog::tail_from`] cursor
 //!   API replicas poll.
-//! * [`replica`] — a [`Replica`]: a follower warehouse plus a cursor,
-//!   with retry-wrapped [`Replica::catch_up`] and snapshot
-//!   [`Replica::reseed`] for followers that fall behind the
-//!   truncation horizon.
+//!
+//! The follower loop lives in `serve::ReplicaRouter::tick`: it replays
+//! each replica's tail through [`warehouse::Warehouse::apply_change`]
+//! and re-seeds from a primary snapshot when the replica has fallen
+//! behind the truncation horizon.
 //!
 //! The replication invariant ("a replica never serves an epoch it has
 //! not fully applied") is inherited from
@@ -31,8 +32,6 @@
 
 pub mod log;
 pub mod record;
-pub mod replica;
 
 pub use crate::log::{Oplog, OplogError};
 pub use crate::record::{LogPos, LogRecord};
-pub use crate::replica::Replica;

@@ -23,7 +23,7 @@ use warehouse::WarehouseChange;
 /// File header: three magic bytes, then the oplog-format version.
 const OPLOG_HEADER: [u8; 4] = [0xD5, b'O', b'G', 2];
 
-/// Errors surfaced by the oplog and the replication paths above it.
+/// Errors surfaced by the oplog.
 #[derive(Debug)]
 pub enum OplogError {
     /// The requested cursor predates the truncation horizon: the gap
@@ -45,9 +45,7 @@ pub enum OplogError {
     Corrupt(String),
     /// An underlying filesystem operation failed.
     Io(String),
-    /// A replayed change was rejected by the follower warehouse.
-    Data(clinical_types::Error),
-    /// An injected fault fired at an oplog or replication failpoint.
+    /// An injected fault fired at an oplog failpoint.
     Faulted(String),
 }
 
@@ -67,19 +65,12 @@ impl std::fmt::Display for OplogError {
             ),
             OplogError::Corrupt(msg) => write!(f, "corrupt oplog: {msg}"),
             OplogError::Io(msg) => write!(f, "oplog I/O failure: {msg}"),
-            OplogError::Data(err) => write!(f, "replicated change rejected: {err}"),
             OplogError::Faulted(point) => write!(f, "injected fault at {point}"),
         }
     }
 }
 
 impl std::error::Error for OplogError {}
-
-impl From<clinical_types::Error> for OplogError {
-    fn from(err: clinical_types::Error) -> Self {
-        OplogError::Data(err)
-    }
-}
 
 impl From<std::io::Error> for OplogError {
     fn from(err: std::io::Error) -> Self {

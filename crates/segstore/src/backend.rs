@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Injected faults surface as ordinary invalid-input errors, the same
-/// convention the warehouse and WAL use.
+/// convention the warehouse uses.
 fn map_fault(e: fault::FaultError) -> Error {
     Error::invalid(e.to_string())
 }
@@ -250,7 +250,7 @@ impl SegmentBackend for DiskBackend {
         }
         let bytes = encode_segment(&segment);
         // Temp-file-then-rename: readers either see the whole sealed
-        // file or none of it, mirroring the WAL's torn-tail discipline
+        // file or none of it, mirroring the oplog's torn-tail discipline
         // at file granularity.
         let tmp = self.dir.join(format!("seg_{id:016x}.tmp"));
         std::fs::write(&tmp, &bytes).map_err(|e| map_io("write segment", e))?;

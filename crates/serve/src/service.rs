@@ -261,9 +261,9 @@ impl QueryService {
 
     /// Start a service that additionally publishes every mutation to
     /// `log` as a replicated change feed — the write head of a replica
-    /// set. Followers tail the log (see `oplog::Replica` and the
-    /// replica router) and re-derive the same warehouse state at the
-    /// same epochs. Failure behaviour is that of [`Self::new`].
+    /// set. Followers tail the log (see [`crate::ReplicaRouter::tick`])
+    /// and re-derive the same warehouse state at the same epochs.
+    /// Failure behaviour is that of [`Self::new`].
     pub fn new_with_oplog(
         warehouse: Warehouse,
         config: ServeConfig,

@@ -23,8 +23,8 @@ echo "==> cargo test --workspace -q (default test parallelism, then one thread)"
 cargo test --workspace -q
 cargo test --workspace -q -- --test-threads=1
 
-echo "==> rustdoc gate (olap + segstore + etl + serve + fault + warehouse, -D warnings, deny(missing_docs))"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q -p olap -p segstore -p etl -p serve -p fault -p warehouse
+echo "==> rustdoc gate (the whole workspace, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> ddbench's own tests (its frozen surface must still compile and its oracles agree)"
 cargo test --release -q --manifest-path ddbench/Cargo.toml

@@ -2,12 +2,9 @@
 //! descriptive error (never a panic) and recover where the design says
 //! it recovers.
 
-use clinical_types::{
-    table_from_csv, table_to_csv, DataType, FieldDef, Record, Schema, Table, Value,
-};
+use clinical_types::{table_from_csv, table_to_csv, DataType, FieldDef, Schema, Table, Value};
 use dd_dgms::DdDgms;
 use discri::{generate, CohortConfig};
-use oltp::DurableStore;
 use std::sync::OnceLock;
 use warehouse::{LoadPlan, Warehouse};
 
@@ -60,47 +57,6 @@ fn warehouse_load_rejects_incompatible_tables() {
         .expect_err("incomplete schema must be rejected");
     // The message enumerates what is missing.
     assert!(err.to_string().contains("Gender"));
-}
-
-#[test]
-fn wal_survives_repeated_torn_tails() {
-    let schema = Schema::new(vec![
-        FieldDef::required("Id", DataType::Int),
-        FieldDef::nullable("X", DataType::Float),
-    ])
-    .unwrap();
-    let dir = std::env::temp_dir().join("dd_dgms_failure_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("torn_{}.wal", std::process::id()));
-
-    {
-        let store = DurableStore::create(schema.clone(), &path).unwrap();
-        for i in 0..50i64 {
-            store
-                .insert(Record::new(vec![Value::Int(i), Value::Float(i as f64)]))
-                .unwrap();
-        }
-        store.sync().unwrap();
-    }
-    // Tear the tail three times; each recovery must keep a clean prefix.
-    let mut last_len = 50;
-    for tear in 1..=3 {
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() - 7 * tear]).unwrap();
-        let (store, torn) = DurableStore::recover(schema.clone(), &path).unwrap();
-        assert!(torn, "tear {tear} not detected");
-        let len = store.store().len();
-        assert!(len < last_len, "tear {tear} lost nothing?");
-        assert!(len > 0, "tear {tear} lost everything");
-        // Rows that survived are intact and contiguous from id 0.
-        for id in 0..len as u64 {
-            let rec = store.store().get(id).unwrap().expect("row present");
-            assert_eq!(rec.values()[0], Value::Int(id as i64));
-        }
-        store.sync().unwrap();
-        last_len = len;
-    }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! The fault matrix: deterministic chaos drills against the durable
-//! store, the warehouse loader, and the serving layer.
+//! The fault matrix: deterministic chaos drills against the warehouse
+//! loader, the compactor and the serving layer.
 //!
-//! Every test here injects a failure — a torn WAL tail, an I/O error
-//! mid-append, a panicking execution — and asserts the *graceful*
-//! outcome the design promises: recovery keeps every record before the
-//! tear, the previous epoch stays queryable, a panic comes back to its
-//! callers as a typed error and hands back its admission slot, and the
+//! Every test here injects a failure — an I/O error mid-append, a
+//! crashed compaction, a panicking execution — and asserts the
+//! *graceful* outcome the design promises: the previous epoch stays
+//! queryable, sealed segments survive the crash, a panic comes back to
+//! its callers as a typed error and hands back its admission slot, and the
 //! circuit breaker degrades to stale-but-marked answers instead of
 //! erroring, then closes again once probes succeed. No drill may abort
 //! the process.
@@ -15,13 +15,11 @@
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table, Value};
 use fault::{FaultKind, Trigger};
-use oltp::DurableStore;
-use proptest::prelude::*;
 use serve::{
     BreakerState, QueryRequest, QueryService, ReportSpec, RetryPolicy, ServeConfig, ServeError,
     ServeResult, Served, ServedSource,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
@@ -100,75 +98,6 @@ fn assert_panicked(result: &ServeResult<Served>) {
             assert!(detail.contains("panicked"), "unexpected detail: {detail}");
         }
         other => panic!("expected a contained panic, got {other:?}"),
-    }
-}
-
-fn wal_path(tag: &str) -> std::path::PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join("dd_dgms_fault_matrix");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}_{}_{}.wal",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-// ------------------------------------------------- WAL torn-tail recovery
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Truncating the log at *any* byte offset — mid-header, mid-record,
-    /// or on a clean boundary — must leave recovery with an intact,
-    /// contiguous prefix of the original rows, and the post-recovery
-    /// rewrite must parse clean on a second recovery.
-    #[test]
-    fn torn_tail_at_any_offset_preserves_the_prefix(
-        n in 1usize..40,
-        cut_permille in 0u32..=1000,
-    ) {
-        let schema = Schema::new(vec![
-            FieldDef::required("Id", DataType::Int),
-            FieldDef::nullable("X", DataType::Float),
-        ])
-        .unwrap();
-        let path = wal_path("torn");
-        {
-            let store = DurableStore::create(schema.clone(), &path).unwrap();
-            for i in 0..n as i64 {
-                store
-                    .insert(Record::new(vec![Value::Int(i), Value::Float(i as f64)]))
-                    .unwrap();
-            }
-            store.sync().unwrap();
-        }
-        let raw = std::fs::read(&path).unwrap();
-        let cut = raw.len() * cut_permille as usize / 1000;
-        std::fs::write(&path, &raw[..cut.min(raw.len())]).unwrap();
-
-        let (store, torn) = DurableStore::recover(schema.clone(), &path).unwrap();
-        let len = store.store().len();
-        prop_assert!(len <= n, "recovered more rows than were written");
-        if cut >= raw.len() {
-            prop_assert!(!torn, "untruncated log reported torn");
-            prop_assert_eq!(len, n);
-        }
-        // Every surviving row is intact and ids are contiguous from 0.
-        for id in 0..len as u64 {
-            let rec = store.store().get(id).unwrap().expect("row present");
-            prop_assert_eq!(&rec.values()[0], &Value::Int(id as i64));
-            prop_assert_eq!(&rec.values()[1], &Value::Float(id as f64));
-        }
-        store.sync().unwrap();
-        drop(store);
-
-        // The recovery rewrite is itself durable: a second recovery
-        // sees a clean log with the same prefix.
-        let (again, torn2) = DurableStore::recover(schema, &path).unwrap();
-        prop_assert!(!torn2, "post-recovery log still torn");
-        prop_assert_eq!(again.store().len(), len);
-        std::fs::remove_file(&path).ok();
     }
 }
 

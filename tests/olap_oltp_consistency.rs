@@ -124,6 +124,7 @@ fn min_max_sum_agree() {
             .unwrap();
         for (key, value) in &flat.rows {
             if value.is_nan() {
+                assert_eq!(cube.value(key), None);
                 continue;
             }
             let cube_value = cube.value(key).expect("group present");

@@ -1,14 +1,15 @@
 //! Chaos drills for the replicated serve tier: replica death under
 //! live load, the epoch-routing invariant, truncation-driven
 //! re-seeding (and its interaction with delta-log age-out), and a
-//! property test that a replica's state after arbitrary crash/replay
-//! interleavings is indistinguishable from the primary's.
+//! property test that a replica's answers after arbitrary crash/replay
+//! interleavings of `ReplicaRouter::tick` are indistinguishable from
+//! the primary's.
 //!
 //! Tests that arm failpoints serialise on
 //! `fault::test_support::fault_lock()`.
 
 use clinical_types::{DataType, FieldDef, Record, Schema, Table, Value};
-use oplog::{Oplog, OplogError, Replica};
+use oplog::Oplog;
 use proptest::prelude::*;
 use serve::{QueryRequest, ReplicaRouter, ReportSpec, RouterConfig, ServeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,16 +68,6 @@ const MDX_CORPUS: &[&str] = &[
     "SELECT [Gender].MEMBERS ON COLUMNS, [FBG_Band].MEMBERS ON ROWS \
      FROM [Facts] MEASURE MAX([FBG])",
 ];
-
-/// Every corpus query must produce bit-identical pivots on both
-/// warehouses (the replica re-derived its state purely from the log).
-fn assert_corpus_identical(primary: &Warehouse, replica: &Warehouse) {
-    for mdx in MDX_CORPUS {
-        let p = olap::execute_mdx(primary, mdx).expect("primary serves corpus");
-        let r = olap::execute_mdx(replica, mdx).expect("replica serves corpus");
-        assert_eq!(p, r, "corpus divergence on {mdx}");
-    }
-}
 
 /// Drill 1 — kill a replica mid-load. Every *accepted* query must
 /// come back served (failed over or explicitly degraded); zero are
@@ -311,10 +302,11 @@ fn router_quota_isolates_sessions_under_load() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property — whatever interleaving of mutations, torn catch-up
-    /// runs, truncations and re-seeds a replica lives through, once it
-    /// fully catches up its epoch equals the primary's and the whole
-    /// MDX corpus answers bit-identically.
+    /// Property — whatever interleaving of mutations, crashed catch-up
+    /// ticks, truncations and re-seeds the router's one replica lives
+    /// through, once it fully catches up its epoch equals the
+    /// primary's and every MDX corpus query it serves is fresh and
+    /// bit-identical to the primary's own answer.
     ///
     /// Steps are `(kind, arg)` pairs: 0 = append `1+arg%3` one-row
     /// batches, 1 = feedback dimension, 2 = rewrite marker, 3 = crash
@@ -325,9 +317,14 @@ proptest! {
         steps in proptest::collection::vec((0u8..5, 0u8..3), 1..12),
     ) {
         let _lock = fault::test_support::fault_lock();
-        let log = Arc::new(Oplog::in_memory());
-        let mut primary = small_warehouse();
-        let mut replica = Replica::seed(&primary, Arc::clone(&log)).unwrap();
+        let router = ReplicaRouter::new(
+            small_warehouse(),
+            RouterConfig {
+                replicas: 1,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
 
         // Feedback steps widen the star schema, so later appends must
         // carry the accumulated attribute columns too.
@@ -350,76 +347,72 @@ proptest! {
             match kind {
                 0 => {
                     for r in 0..=(arg % 3) {
-                        let table =
-                            append_row(&feedback_attrs, 4.0 + (i as f64) + f64::from(r) / 10.0);
-                        primary.append(&table).unwrap();
-                        log.append(&WarehouseChange::Append(table), primary.epoch())
-                            .unwrap();
+                        let fbg = 4.0 + (i as f64) + f64::from(r) / 10.0;
+                        router.append(&append_row(&feedback_attrs, fbg)).unwrap();
                     }
                 }
                 1 => {
-                    let n = primary.n_facts();
-                    let labels = vec![Value::from("x"); n];
-                    let change = WarehouseChange::Feedback {
-                        dimension: format!("Dim{i}"),
-                        attribute: format!("Attr{i}"),
-                        labels: labels.clone(),
-                    };
-                    primary
-                        .add_feedback_dimension(&format!("Dim{i}"), &format!("Attr{i}"), labels)
+                    let n = router.primary().with_warehouse(|wh| wh.n_facts());
+                    router
+                        .add_feedback_dimension(
+                            &format!("Dim{i}"),
+                            &format!("Attr{i}"),
+                            vec![Value::from("x"); n],
+                        )
                         .unwrap();
-                    log.append(&change, primary.epoch()).unwrap();
                     feedback_attrs.push(format!("Attr{i}"));
                 }
-                2 => {
-                    primary.bump_epoch();
-                    log.append(&WarehouseChange::Rewrite, primary.epoch()).unwrap();
-                }
+                2 => router.primary().invalidate_all(),
                 3 => {
                     let crash = fault::arm(
                         "replica.apply",
                         fault::Trigger::AfterK(u64::from(arg % 3)),
                         fault::FaultKind::Error,
                     );
-                    let _ = replica.catch_up();
+                    router.tick();
                     drop(crash);
-                    replica.catch_up().unwrap();
+                    router.tick();
                 }
                 _ => {
-                    log.truncate_before(primary.epoch() + 1).unwrap();
-                    match replica.catch_up() {
-                        Ok(_) => {}
-                        Err(OplogError::Truncated { .. }) => {
-                            replica.reseed(&primary).unwrap();
-                        }
-                        Err(other) => panic!("unexpected catch-up failure: {other}"),
-                    }
+                    router.oplog().truncate_before(router.epoch() + 1).unwrap();
+                    router.tick();
                 }
             }
             // Invariant at every step: the replica never runs ahead,
             // and never exposes a partially applied epoch.
-            prop_assert!(replica.applied_epoch() <= primary.epoch());
+            prop_assert!(router.replica_status()[0].applied_epoch <= router.epoch());
         }
 
-        // Final convergence: catch up completely (re-seeding if the
-        // last step stranded us) and compare everything.
-        match replica.catch_up() {
-            Ok(_) => {}
-            Err(OplogError::Truncated { .. }) => replica.reseed(&primary).unwrap(),
-            Err(other) => panic!("final catch-up failed: {other}"),
+        // Final convergence: one more tick replays the tail (or
+        // re-seeds if the last step stranded the replica), then every
+        // corpus query must come back fresh and identical.
+        router.tick();
+        prop_assert_eq!(router.replica_status()[0].applied_epoch, router.epoch());
+        for mdx in MDX_CORPUS {
+            let served = router
+                .execute(&QueryRequest::Mdx(mdx.to_string()))
+                .expect("replica serves corpus");
+            prop_assert!(!served.value.degraded, "stale answer to {}", mdx);
+            let primary = router
+                .primary()
+                .with_warehouse(|wh| olap::execute_mdx(wh, mdx))
+                .expect("primary serves corpus");
+            prop_assert_eq!(
+                served.value.as_pivot(),
+                Some(&primary),
+                "corpus divergence on {}",
+                mdx
+            );
         }
-        prop_assert_eq!(replica.applied_epoch(), primary.epoch());
-        prop_assert_eq!(replica.warehouse().n_facts(), primary.n_facts());
-        assert_corpus_identical(&primary, replica.warehouse());
     }
 }
 
 /// The durable half of the proptest's claim, pinned deterministically:
-/// a replica tailing a *file-backed* log across a torn-tail recovery
-/// converges to the primary.
+/// a follower replaying a *file-backed* log across a torn-tail recovery
+/// converges to the primary's state at the last intact record.
 #[test]
 fn durable_log_with_torn_tail_still_converges() {
-    // Siblings arm `replica.apply`; this replica must not trip on it.
+    // Failpoint state is process-global and siblings arm it.
     let _lock = fault::test_support::fault_lock();
     let path = std::env::temp_dir().join(format!("ddgms-chaos-{}-torn.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -443,17 +436,21 @@ fn durable_log_with_torn_tail_still_converges() {
 
     let (log, torn) = Oplog::open(&path).unwrap();
     assert!(torn, "the torn tail must be detected");
-    let log = Arc::new(log);
-    // A replica seeded from the pre-append state replays exactly the
-    // intact prefix — never a half-recovered record.
-    let mut replica = Replica::seed(&seed_state, Arc::clone(&log)).unwrap();
-    replica.catch_up().unwrap();
     assert_eq!(log.len(), 2, "only the intact appends survive recovery");
+    // A follower seeded from the pre-append state replays exactly the
+    // intact prefix — never a half-recovered record.
+    let mut follower = seed_state.clone();
+    let cursor = log.cursor_at(seed_state.epoch()).unwrap();
+    for record in log.tail_from(cursor).unwrap() {
+        follower
+            .apply_change(&record.change, record.pos.epoch)
+            .unwrap();
+    }
     assert_eq!(
-        replica.applied_epoch(),
+        follower.epoch(),
         log.last_pos().unwrap().epoch,
-        "replica applied exactly the intact prefix"
+        "follower applied exactly the intact prefix"
     );
-    assert_eq!(replica.warehouse().n_facts(), seed_state.n_facts() + 2);
+    assert_eq!(follower.n_facts(), seed_state.n_facts() + 2);
     let _ = std::fs::remove_file(&path);
 }

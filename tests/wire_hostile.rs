@@ -1,22 +1,22 @@
 //! One hostile-bytes suite for everything the workspace persists.
 //!
-//! `clinical_types::wire` is the only byte-level code in the tree; the
-//! WAL (`oltp::parse_log`), sealed segments (`segstore::decode_segment`)
-//! and the replication oplog (`Oplog::open`, `decode_change`) are bodies
-//! inside its frame. For each of them, and for `wire::frames` and
-//! `decode_row` themselves:
+//! `clinical_types::wire` is the only byte-level code in the tree;
+//! sealed segments (`segstore::decode_segment`) and the replication
+//! oplog (`Oplog::open`, `decode_change`) are bodies inside its frame.
+//! For each of them, and for `wire::frames` and `decode_row`
+//! themselves:
 //!
 //! * (a) arbitrary bytes never panic — raw, behind a valid file header,
 //!   and behind a valid header *and* a valid CRC, so the body decoders
 //!   see the noise too;
 //! * (b) every single-bit flip of a valid file is detected;
-//! * (c) truncation at every offset: the two logs return exactly the
+//! * (c) truncation at every offset: the oplog returns exactly the
 //!   records whose frames end before the cut, a segment is an error;
 //! * (d) encode → decode round-trips.
 
 use clinical_types::wire::{self, Put};
 use clinical_types::{DataType, Date, FieldDef, Record, Schema, Table, Value};
-use oltp::{decode_row, encode_row, parse_log, DurableStore, WalOp};
+use oltp::{decode_row, encode_row};
 use oplog::record::{decode_change, encode_change};
 use oplog::{LogPos, Oplog};
 use proptest::prelude::*;
@@ -41,26 +41,6 @@ fn schema() -> Schema {
 
 fn rec(id: i64, band: &str) -> Record {
     Record::new(vec![Value::Int(id), band.into()])
-}
-
-/// A valid WAL file and the ops it logs.
-fn wal_file() -> (Vec<u8>, Vec<WalOp>) {
-    let path = temp_path("wal");
-    let store = DurableStore::create(schema(), &path).unwrap();
-    let a = store.insert(rec(1, "very good")).unwrap();
-    let b = store.insert(rec(2, "Diabetic")).unwrap();
-    store.update(a, rec(1, "preDiabetic")).unwrap();
-    store.delete(b).unwrap();
-    store.sync().unwrap();
-    let raw = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let ops = vec![
-        WalOp::Insert(a, rec(1, "very good")),
-        WalOp::Insert(b, rec(2, "Diabetic")),
-        WalOp::Update(a, rec(1, "preDiabetic")),
-        WalOp::Delete(b),
-    ];
-    (raw, ops)
 }
 
 fn changes() -> Vec<WarehouseChange> {
@@ -169,13 +149,10 @@ proptest! {
 
         let mut framed = Vec::new();
         wire::put_frame(&mut framed, |body| body.put(&noise));
-        let (wal, _) = wal_file();
         let oplog = oplog_file();
         // The oplog's prefix is its header plus the horizon frame.
         let oplog_head = frame_ends(&oplog, 4)[0];
         for tail in [&noise, &framed] {
-            let _ = parse_log(tail);
-            let _ = parse_log(&[&wal[..4], tail].concat());
             let _ = open_oplog(tail);
             let _ = open_oplog(&[&oplog[..4], tail].concat());
             let _ = open_oplog(&[&oplog[..oplog_head], tail].concat());
@@ -197,19 +174,6 @@ fn for_each_bit_flip(clean: &[u8], mut check: impl FnMut(&[u8], String)) {
             check(&bad, format!("flip of byte {byte} bit {bit}"));
         }
     }
-}
-
-#[test]
-fn every_bit_flip_of_a_wal_is_detected() {
-    let (clean, ops) = wal_file();
-    assert_eq!(parse_log(&clean).unwrap(), (ops, false));
-    for_each_bit_flip(&clean, |bad, what| {
-        // A header flip is an error, a record flip a torn tail.
-        assert!(
-            parse_log(bad).map_or(true, |(_, torn)| torn),
-            "{what} went undetected"
-        );
-    });
 }
 
 #[test]
@@ -252,20 +216,6 @@ fn bit_flips_in_unframed_codecs_never_panic() {
 // (c) ------------------------------------------------------------------
 
 #[test]
-fn a_truncated_wal_returns_exactly_the_records_before_the_cut() {
-    let (clean, ops) = wal_file();
-    let ends = frame_ends(&clean, 4);
-    assert_eq!(ends.len(), ops.len());
-    for cut in 0..=clean.len() {
-        let intact = ends.iter().filter(|&&end| end <= cut).count();
-        let (parsed, torn) = parse_log(&clean[..cut]).unwrap();
-        assert_eq!(parsed, ops[..intact], "cut at {cut}");
-        let clean_cut = cut == 0 || cut == 4 || ends.contains(&cut);
-        assert_eq!(torn, !clean_cut, "cut at {cut}");
-    }
-}
-
-#[test]
 fn a_truncated_oplog_returns_exactly_the_records_before_the_cut() {
     let clean = oplog_file();
     let ends = frame_ends(&clean, 4);
@@ -306,9 +256,6 @@ fn a_truncated_segment_is_an_error() {
 
 #[test]
 fn files_round_trip() {
-    let (wal, ops) = wal_file();
-    assert_eq!(parse_log(&wal).unwrap(), (ops, false));
-
     let seg = segment();
     let bytes = encode_segment(&seg);
     assert_eq!(decode_segment(&bytes, &ColumnSet::all()).unwrap(), seg);
