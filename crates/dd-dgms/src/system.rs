@@ -236,12 +236,6 @@ impl DdDgms {
         let interactions = awsum.top_interactions(&dataset, yes_class, 15, 5)?;
 
         let apriori = Apriori::new(self.transformed.len() / 50 + 5, 0.6, 3);
-        let status_feature = dataset
-            .features
-            .iter()
-            .position(|f| f.name == "FBG_Band")
-            .map(|_| ());
-        let _ = status_feature;
         // Rules toward DiabetesStatus need it as a feature: build a
         // second dataset with the class inlined.
         let rule_features = vec![

@@ -9,7 +9,7 @@
 
 use crate::dataset::Dataset;
 use clinical_types::{Error, Result};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// An item: `(feature index, category index)`.
 pub type Item = (usize, usize);
@@ -69,6 +69,39 @@ impl AssociationRule {
     }
 }
 
+/// No frequent itemset: a row code for an infrequent value, or a row
+/// that holds none of a subset's frequent itemsets.
+const NONE: u32 = u32::MAX;
+
+/// A frequent itemset of the level being extended.
+struct Frequent {
+    items: Vec<Item>,
+    support: usize,
+    /// Its feature subset, an index into the level's per-row holdings.
+    subset: usize,
+    /// Its index among that subset's frequent itemsets.
+    index: u32,
+}
+
+impl Frequent {
+    fn into_set(self) -> ItemSet {
+        ItemSet {
+            items: self.items,
+            support: self.support,
+        }
+    }
+}
+
+/// The candidates over one feature subset: a frequent subset of the
+/// level (`parent`) plus a later `feature`.
+struct Group {
+    parent: usize,
+    feature: usize,
+    /// `parent index · radix + code` → candidate.
+    keys: HashMap<u64, u32>,
+    candidates: Vec<Vec<Item>>,
+}
+
 /// Apriori miner configuration.
 #[derive(Debug, Clone)]
 pub struct Apriori {
@@ -90,8 +123,18 @@ impl Apriori {
         }
     }
 
-    /// Mine all frequent itemsets (levelwise candidate generation with
-    /// the Apriori pruning property).
+    /// Mine all frequent itemsets, ordered by `(len, items)`.
+    ///
+    /// Levelwise candidate generation with the Apriori pruning
+    /// property; every row holds one item per feature, so an itemset
+    /// is a (feature subset, value tuple) and its support is a cell of
+    /// the COUNT over that subset. Each feature's frequent values get
+    /// dense codes, and each row carries, per frequent subset, the
+    /// index of the frequent itemset it holds there (or none). A
+    /// candidate over `S ∪ {f}` is keyed `parent · radix_f + code_f`,
+    /// where `parent` is its prefix itemset's index over `S`: both
+    /// factors are below the row count, so the `u64` key cannot wrap.
+    /// One pass over the rows counts every candidate of a subset.
     pub fn frequent_itemsets(&self, data: &Dataset) -> Result<Vec<ItemSet>> {
         if self.min_support == 0 {
             return Err(Error::invalid("min_support must be positive"));
@@ -99,94 +142,158 @@ impl Apriori {
         if data.is_empty() {
             return Ok(Vec::new());
         }
-        // Transactions as item sets (every row has one item per feature).
-        let transactions: Vec<Vec<Item>> = data
-            .cells
-            .iter()
-            .map(|row| row.iter().enumerate().map(|(f, &v)| (f, v)).collect())
-            .collect();
-
-        // L1.
-        let mut counts: HashMap<Vec<Item>, usize> = HashMap::new();
-        for t in &transactions {
-            for &item in t {
-                *counts.entry(vec![item]).or_insert(0) += 1;
-            }
+        if data.len() >= NONE as usize {
+            return Err(Error::invalid("too many rows to count"));
         }
-        let mut frequent: Vec<ItemSet> = Vec::new();
-        let mut current: Vec<Vec<Item>> = counts
-            .into_iter()
-            .filter(|(_, c)| *c >= self.min_support)
-            .map(|(items, support)| {
-                frequent.push(ItemSet {
-                    items: items.clone(),
-                    support,
-                });
-                items
-            })
-            .collect();
-        current.sort();
+        let width = data.cells.iter().map(Vec::len).max().unwrap_or(0);
 
+        // L1: each feature's frequent values, ascending, and per row
+        // the code (index) of its value among them.
+        let mut values: Vec<Vec<usize>> = Vec::with_capacity(width);
+        let mut codes: Vec<Vec<u32>> = Vec::with_capacity(width);
+        let mut current: Vec<Frequent> = Vec::new();
+        for f in 0..width {
+            let mut column: Vec<usize> = data
+                .cells
+                .iter()
+                .filter_map(|r| r.get(f).copied())
+                .collect();
+            column.sort_unstable();
+            let mut frequent_values = Vec::new();
+            for run in column.chunk_by(|a, b| a == b) {
+                if run.len() >= self.min_support {
+                    current.push(Frequent {
+                        items: vec![(f, run[0])],
+                        support: run.len(),
+                        subset: f,
+                        index: frequent_values.len() as u32,
+                    });
+                    frequent_values.push(run[0]);
+                }
+            }
+            codes.push(
+                data.cells
+                    .iter()
+                    .map(|r| {
+                        r.get(f)
+                            .and_then(|v| frequent_values.binary_search(v).ok())
+                            .map_or(NONE, |c| c as u32)
+                    })
+                    .collect(),
+            );
+            values.push(frequent_values);
+        }
+        // Per subset of the current level, per row: the index of the
+        // frequent itemset the row holds over that subset. Level 1's
+        // subsets are the single features.
+        let mut held: Vec<Vec<u32>> = codes.clone();
+        current.sort_by(|a, b| a.items.cmp(&b.items));
+
+        let mut out = Vec::new();
         let mut k = 1;
         while !current.is_empty() && k < self.max_len {
-            // Candidate generation: join sets sharing a (k-1)-prefix.
-            let prev: HashSet<Vec<Item>> = current.iter().cloned().collect();
-            let mut candidates: HashSet<Vec<Item>> = HashSet::new();
-            for i in 0..current.len() {
-                for j in i + 1..current.len() {
-                    let (a, b) = (&current[i], &current[j]);
-                    if a[..k - 1] != b[..k - 1] {
-                        continue;
+            // Join sets sharing a (k-1)-prefix (contiguous, as `current`
+            // is sorted); the candidate's subset is the prefix set's
+            // subset plus the new last feature.
+            let mut groups: Vec<Group> = Vec::new();
+            let mut group_of: HashMap<(usize, usize), usize> = HashMap::new();
+            let mut sub: Vec<Item> = Vec::with_capacity(k);
+            for (i, a) in current.iter().enumerate() {
+                for b in &current[i + 1..] {
+                    if a.items[..k - 1] != b.items[..k - 1] {
+                        break;
                     }
-                    let mut cand = a.clone();
-                    cand.push(b[k - 1]);
-                    cand.sort();
-                    cand.dedup();
-                    if cand.len() != k + 1 {
-                        continue;
-                    }
+                    let (f, v) = b.items[k - 1];
                     // An itemset cannot contain two values of one feature.
-                    let features: HashSet<usize> = cand.iter().map(|&(f, _)| f).collect();
-                    if features.len() != cand.len() {
+                    if f == a.items[k - 1].0 {
                         continue;
                     }
-                    // Apriori property: all k-subsets must be frequent.
-                    let all_subsets_frequent = (0..cand.len()).all(|skip| {
-                        let mut sub = cand.clone();
-                        sub.remove(skip);
-                        prev.contains(&sub)
+                    // Apriori property: every k-subset must be frequent
+                    // (dropping the last item gives `a`, the one before
+                    // it `b`).
+                    let all_subsets_frequent = (0..k - 1).all(|skip| {
+                        sub.clear();
+                        sub.extend_from_slice(&a.items[..skip]);
+                        sub.extend_from_slice(&a.items[skip + 1..]);
+                        sub.push((f, v));
+                        current
+                            .binary_search_by(|c| c.items.as_slice().cmp(&sub))
+                            .is_ok()
                     });
-                    if all_subsets_frequent {
-                        candidates.insert(cand);
+                    if !all_subsets_frequent {
+                        continue;
+                    }
+                    let g = *group_of.entry((a.subset, f)).or_insert_with(|| {
+                        groups.push(Group {
+                            parent: a.subset,
+                            feature: f,
+                            keys: HashMap::new(),
+                            candidates: Vec::new(),
+                        });
+                        groups.len() - 1
+                    });
+                    let group = &mut groups[g];
+                    let code = values[f].binary_search(&v).expect("frequent value") as u64;
+                    let radix = values[f].len() as u64;
+                    group.keys.insert(
+                        u64::from(a.index) * radix + code,
+                        group.candidates.len() as u32,
+                    );
+                    let mut items = a.items.clone();
+                    items.push((f, v));
+                    group.candidates.push(items);
+                }
+            }
+
+            // Count each subset's candidates in one pass over the rows.
+            let mut next = Vec::new();
+            let mut next_held = Vec::with_capacity(groups.len());
+            for group in groups {
+                let parent = &held[group.parent];
+                let code = &codes[group.feature];
+                let radix = values[group.feature].len() as u64;
+                let mut counts = vec![0usize; group.candidates.len()];
+                let mut row_held = vec![NONE; data.len()];
+                for (row, slot) in row_held.iter_mut().enumerate() {
+                    let (p, c) = (parent[row], code[row]);
+                    if p == NONE || c == NONE {
+                        continue;
+                    }
+                    if let Some(&cand) = group.keys.get(&(u64::from(p) * radix + u64::from(c))) {
+                        counts[cand as usize] += 1;
+                        *slot = cand;
                     }
                 }
-            }
-            // Count candidates.
-            let mut counts: HashMap<&Vec<Item>, usize> = HashMap::new();
-            for t in &transactions {
-                let t_set: HashSet<Item> = t.iter().copied().collect();
-                for cand in &candidates {
-                    if cand.iter().all(|item| t_set.contains(item)) {
-                        *counts.entry(cand).or_insert(0) += 1;
+                // Keep the frequent candidates; renumber rows onto them.
+                let subset = next_held.len();
+                let mut index = vec![NONE; counts.len()];
+                let mut kept = 0u32;
+                for (cand, items) in group.candidates.into_iter().enumerate() {
+                    if counts[cand] >= self.min_support {
+                        index[cand] = kept;
+                        next.push(Frequent {
+                            items,
+                            support: counts[cand],
+                            subset,
+                            index: kept,
+                        });
+                        kept += 1;
                     }
                 }
-            }
-            let mut next: Vec<Vec<Item>> = Vec::new();
-            for (cand, count) in counts {
-                if count >= self.min_support {
-                    frequent.push(ItemSet {
-                        items: cand.clone(),
-                        support: count,
-                    });
-                    next.push(cand.clone());
+                for slot in row_held.iter_mut().filter(|s| **s != NONE) {
+                    *slot = index[*slot as usize];
                 }
+                next_held.push(row_held);
             }
-            next.sort();
+            next.sort_by(|a, b| a.items.cmp(&b.items));
+            out.extend(current.into_iter().map(Frequent::into_set));
             current = next;
+            held = next_held;
             k += 1;
         }
-        frequent.sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
-        Ok(frequent)
+        out.extend(current.into_iter().map(Frequent::into_set));
+        out.sort_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
+        Ok(out)
     }
 
     /// Derive association rules with single-item consequents,
@@ -198,8 +305,10 @@ impl Apriori {
         consequent_feature: Option<usize>,
     ) -> Result<Vec<AssociationRule>> {
         let frequent = self.frequent_itemsets(data)?;
-        let support_of: HashMap<&Vec<Item>, usize> =
-            frequent.iter().map(|s| (&s.items, s.support)).collect();
+        let support_of: HashMap<&[Item], usize> = frequent
+            .iter()
+            .map(|s| (s.items.as_slice(), s.support))
+            .collect();
         let n = data.len() as f64;
         let mut rules = Vec::new();
         for set in frequent.iter().filter(|s| s.items.len() >= 2) {
@@ -211,14 +320,17 @@ impl Apriori {
                 }
                 let mut antecedent = set.items.clone();
                 antecedent.remove(ci);
-                let Some(&ante_support) = support_of.get(&antecedent) else {
+                let Some(&ante_support) = support_of.get(antecedent.as_slice()) else {
                     continue;
                 };
                 let confidence = set.support as f64 / ante_support as f64;
                 if confidence < self.min_confidence {
                     continue;
                 }
-                let cons_support = support_of.get(&vec![consequent]).copied().unwrap_or(0) as f64;
+                let cons_support = support_of
+                    .get(std::slice::from_ref(&consequent))
+                    .copied()
+                    .unwrap_or(0) as f64;
                 let lift = if cons_support > 0.0 {
                     confidence / (cons_support / n)
                 } else {
@@ -233,7 +345,7 @@ impl Apriori {
                 });
             }
         }
-        rules.sort_by(|a, b| b.lift.partial_cmp(&a.lift).expect("lift is finite or inf"));
+        rules.sort_by(|a, b| b.lift.total_cmp(&a.lift));
         Ok(rules)
     }
 }
@@ -242,6 +354,7 @@ impl Apriori {
 mod tests {
     use super::*;
     use crate::dataset::Feature;
+    use std::collections::HashSet;
 
     /// f0=1 and f1=1 co-occur and imply class=1 (feature 2).
     fn demo() -> Dataset {

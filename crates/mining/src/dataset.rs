@@ -11,6 +11,7 @@ use clinical_types::{Error, Result, Table, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Category vocabulary of one feature.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -180,11 +181,12 @@ impl DatasetBuilder {
         let mut cells = Vec::with_capacity(table.len());
         let mut classes = Vec::with_capacity(table.len());
 
-        let intern = |labels: &mut Vec<String>, text: String| -> usize {
-            match labels.iter().position(|l| *l == text) {
+        // A label is allocated only when first seen.
+        let intern = |labels: &mut Vec<String>, text: &str| -> usize {
+            match labels.iter().position(|l| l == text) {
                 Some(i) => i,
                 None => {
-                    labels.push(text);
+                    labels.push(text.to_owned());
                     labels.len() - 1
                 }
             }
@@ -201,14 +203,11 @@ impl DatasetBuilder {
                     self.class_column
                 )));
             }
-            let class = intern(&mut class_labels, class_value.to_string());
+            let class = intern(&mut class_labels, &label(class_value, &self.missing_label));
             let mut row_cells = Vec::with_capacity(feature_idx.len());
             for (fi, &idx) in feature_idx.iter().enumerate() {
-                let text = match &row[idx] {
-                    Value::Null => self.missing_label.clone(),
-                    other => other.to_string(),
-                };
-                row_cells.push(intern(&mut features[fi].labels, text));
+                let text = label(&row[idx], &self.missing_label);
+                row_cells.push(intern(&mut features[fi].labels, &text));
             }
             cells.push(row_cells);
             classes.push(class);
@@ -219,6 +218,16 @@ impl DatasetBuilder {
             cells,
             classes,
         })
+    }
+}
+
+/// A cell's category label: text borrowed as is, `missing` for NULL,
+/// any other value rendered.
+fn label<'a>(value: &'a Value, missing: &'a str) -> Cow<'a, str> {
+    match value {
+        Value::Null => Cow::Borrowed(missing),
+        Value::Text(text) => Cow::Borrowed(text),
+        other => Cow::Owned(other.to_string()),
     }
 }
 
@@ -291,6 +300,28 @@ mod tests {
         assert_eq!(sub.features[0].name, "FBG_Band");
         assert_eq!(sub.classes, ds.classes);
         assert!(ds.select_features(&[5]).is_err());
+    }
+
+    #[test]
+    fn non_text_cells_are_rendered_in_first_seen_order() {
+        let schema = Schema::new(vec![
+            FieldDef::nullable("Visits", DataType::Int),
+            FieldDef::nullable("Status", DataType::Text),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Value>> = vec![
+            vec![Value::Int(3), "yes".into()],
+            vec![Value::Null, "no".into()],
+            vec![Value::Int(1), "yes".into()],
+            vec![Value::Int(3), "no".into()],
+        ];
+        let table = Table::from_rows(schema, rows.into_iter().map(Record::new).collect()).unwrap();
+        let ds = DatasetBuilder::new(vec!["Visits"], "Status")
+            .build(&table)
+            .unwrap();
+        assert_eq!(ds.features[0].labels, vec!["3", "?", "1"]);
+        assert_eq!(ds.cells, vec![vec![0], vec![1], vec![2], vec![0]]);
+        assert_eq!(ds.class_labels, vec!["yes", "no"]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn evaluate_predictor(
         .collect();
 
     let markov = MarkovModel::fit(&truncated)?;
-    let similar = SimilarPatientPredictor::new(truncated.clone(), max_context)?;
+    let similar = SimilarPatientPredictor::new(&truncated, max_context)?;
 
     // Majority over training states.
     let mut counts: HashMap<&str, usize> = HashMap::new();
