@@ -296,7 +296,7 @@ pub fn explain(code: &str) -> Option<&'static str> {
         }
         Code::A303UnrankedLock => {
             "A303 unranked lock: a Mutex/RwLock field in a crate under rank \
-             discipline (serve, segstore, oltp, warehouse) is neither a \
+             discipline (serve, segstore, warehouse, oplog) is neither a \
              RankedMutex/RankedRwLock nor annotated with a \
              `// lock:rank(Name)` comment. Unranked locks are invisible to \
              both the static order check and the runtime rank assertion, so \
@@ -485,6 +485,13 @@ mod tests {
             assert!(!c.summary().is_empty());
         }
         assert!(explain("A999").is_none());
+    }
+
+    #[test]
+    fn a303_names_exactly_the_ranked_crates() {
+        let list = format!("({})", crate::locks::RANKED_CRATES.join(", "));
+        let text = explain("A303").unwrap_or_default();
+        assert!(text.contains(&list), "A303 must name {list}: {text}");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::path::Path;
 
 /// Crates whose locks must carry a rank (A303 fires on bare
 /// `Mutex`/`RwLock` fields here).
-pub const RANKED_CRATES: [&str; 5] = ["serve", "segstore", "oltp", "warehouse", "oplog"];
+pub const RANKED_CRATES: [&str; 4] = ["serve", "segstore", "warehouse", "oplog"];
 
 /// Whether a lock is a mutex or a reader-writer lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

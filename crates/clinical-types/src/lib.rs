@@ -2,7 +2,7 @@
 
 //! Shared value model for the DD-DGMS reproduction.
 //!
-//! Every subsystem in the workspace — ETL, OLTP store, warehouse, OLAP
+//! Every subsystem in the workspace — ETL, warehouse, OLAP
 //! engine, miners and predictors — exchanges data through the types in
 //! this crate: dynamically typed [`Value`]s, [`Schema`]-described
 //! [`Record`]s, and in-memory [`Table`]s.

@@ -286,6 +286,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC-32 check values.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn crc32_detects_compensating_byte_pairs() {
+        // The +1/-31 pair that fools a positional byte sum.
+        let clean = [10u8, 200, 130, 40];
+        let mut tampered = clean;
+        tampered[1] += 1;
+        tampered[2] -= 31;
+        assert_ne!(crc32(&clean), crc32(&tampered));
+    }
+
+    #[test]
+    fn malformed_rows_are_rejected() {
+        let empty = Record::new(vec![]);
+        assert_eq!(decode_row(&encode_row(&empty)).unwrap(), empty);
+
+        let bytes = encode_row(&Record::new(vec![Value::Int(42), Value::Text("µ".into())]));
+        for cut in [0, 1, 3, bytes.len() - 1] {
+            assert!(decode_row(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+        }
+        let mut trailing = bytes;
+        trailing.push(0xFF);
+        assert!(decode_row(&trailing).is_err(), "trailing garbage accepted");
+        // Header says 1 value, then a bogus tag.
+        assert!(decode_row(&[1, 0, 0, 0, 99]).is_err());
+    }
+
+    #[test]
     fn short_buffers_and_absurd_counts_are_typed_errors() {
         let mut r = Reader::new(&[1, 2, 3]);
         assert!(r.u32().is_err() && r.u64().is_err() && r.f64().is_err());

@@ -10,7 +10,7 @@
 //! workspace into that loop:
 //!
 //! ```text
-//! raw attendances ──etl──▶ warehouse ──┬─▶ reporting (OLTP/OLAP/MDX)
+//! raw attendances ──etl──▶ warehouse ──┬─▶ reporting (append/OLAP/MDX)
 //!                                      ├─▶ prediction (time course)
 //!                                      ├─▶ visualisation
 //!                                      ├─▶ decision optimisation

@@ -74,18 +74,14 @@ pub enum LockRank {
     /// Segment-backend registries (acquired under the warehouse lock
     /// during scans and compaction).
     SegmentSet = 8,
-    /// The OLTP heap lock.
-    Heap = 9,
-    /// OLTP secondary-index maps (filled under the heap read lock).
-    Index = 10,
     /// The durable oplog writer — appended to under the primary's
     /// warehouse write lock (and read under a replica's cursor lock),
     /// making it the innermost lock in the stack.
-    Oplog = 11,
+    Oplog = 9,
 }
 
 /// Every rank in ascending acquisition order.
-pub const ALL_RANKS: [LockRank; 12] = [
+pub const ALL_RANKS: [LockRank; 10] = [
     LockRank::Admission,
     LockRank::FlightSlot,
     LockRank::Breaker,
@@ -95,8 +91,6 @@ pub const ALL_RANKS: [LockRank; 12] = [
     LockRank::Catalog,
     LockRank::Cache,
     LockRank::SegmentSet,
-    LockRank::Heap,
-    LockRank::Index,
     LockRank::Oplog,
 ];
 
@@ -114,8 +108,6 @@ impl LockRank {
             LockRank::Catalog => "Catalog",
             LockRank::Cache => "Cache",
             LockRank::SegmentSet => "SegmentSet",
-            LockRank::Heap => "Heap",
-            LockRank::Index => "Index",
             LockRank::Oplog => "Oplog",
         }
     }

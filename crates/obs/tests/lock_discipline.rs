@@ -24,8 +24,8 @@ use std::thread;
 const INVERT_POINT: &str = "lockrank.invert";
 
 fn run_two_thread_drill() -> thread::Result<()> {
-    let low = Arc::new(RankedMutex::new(LockRank::Heap, "oltp.heap", 0u32));
-    let high = Arc::new(RankedMutex::new(LockRank::Index, "oltp.index.map", 0u32));
+    let low = Arc::new(RankedMutex::new(LockRank::Cache, "drill.low", 0u32));
+    let high = Arc::new(RankedMutex::new(LockRank::SegmentSet, "drill.high", 0u32));
     let barrier = Arc::new(Barrier::new(2));
 
     let forward = thread::spawn({
@@ -89,11 +89,11 @@ fn inverted_acquisition_behind_failpoint_aborts_naming_both_locks() {
         "unexpected report: {msg}"
     );
     assert!(
-        msg.contains("oltp.heap"),
+        msg.contains("drill.low"),
         "report must name the acquired lock: {msg}"
     );
     assert!(
-        msg.contains("oltp.index.map"),
+        msg.contains("drill.high"),
         "report must name the held lock: {msg}"
     );
 }

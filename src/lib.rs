@@ -15,7 +15,6 @@ pub use kb;
 pub use mining;
 pub use obs;
 pub use olap;
-pub use oltp;
 pub use optimize;
 pub use predict;
 pub use serve;

@@ -17,7 +17,7 @@
 //! cell for cell against the naive oracle, and pins the columns and
 //! the morsel count of each state. A randomised deck over all thirty
 //! star attributes and three warehouse states then checks the loop
-//! against the same oracle.
+//! against the same oracle, and one fixed case checks `Cube::slice`.
 
 #[path = "common/oracle.rs"]
 mod oracle;
@@ -337,6 +337,25 @@ fn every_path_answers_like_the_oracle_and_scanstats_names_it() {
         BTreeSet::from([Path::FactColumns, Path::Segments]),
         "the matrix must read both kinds of columns"
     );
+}
+
+/// A slice of a built cube answers like the flat filter on the sliced
+/// attribute: `Cube::slice` merges cells after the scan, so the
+/// randomised deck below, which only builds, never reaches it.
+#[test]
+fn slice_answers_like_the_filter_it_stands_for() {
+    let table = table();
+    let query = Query {
+        axes: vec!["Gender"],
+        equals: vec![("VisitKind", "first".into())],
+        between: vec![],
+        agg: Agg::Count,
+    };
+    let want = oracle::answer(table, &query);
+    assert!(!want.is_empty());
+    let cube = Cube::build(&load(table), &CubeSpec::count(vec!["Gender", "VisitKind"])).unwrap();
+    let sliced = cube.slice("VisitKind", &"first".into()).unwrap();
+    oracle::assert_same_cells(&cube_cells(&sliced), &want, "slice VisitKind = first");
 }
 
 /// Numeric columns the randomised deck aggregates and filters on.

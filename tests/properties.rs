@@ -2,9 +2,9 @@
 //! warehouse/OLAP path must preserve the data and the aggregation
 //! invariants regardless of content.
 
+use clinical_types::wire::{decode_row, encode_row};
 use clinical_types::{DataType, FieldDef, Record, Schema, Table, Value};
 use olap::{Cube, CubeSpec};
-use oltp::{decode_row, encode_row};
 use proptest::prelude::*;
 use warehouse::{DimensionDef, FactDef, LoadPlan, StarSchema, Warehouse};
 
@@ -123,7 +123,7 @@ proptest! {
 
     /// Row encoding round-trips arbitrary table rows.
     #[test]
-    fn oltp_encoding_round_trips(rows in random_rows()) {
+    fn row_encoding_round_trips(rows in random_rows()) {
         let table = build_table(&rows);
         for row in table.rows() {
             let decoded = decode_row(&encode_row(row)).unwrap();

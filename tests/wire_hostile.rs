@@ -14,9 +14,8 @@
 //!   records whose frames end before the cut, a segment is an error;
 //! * (d) encode → decode round-trips.
 
-use clinical_types::wire::{self, Put};
+use clinical_types::wire::{self, decode_row, encode_row, Put};
 use clinical_types::{DataType, Date, FieldDef, Record, Schema, Table, Value};
-use oltp::{decode_row, encode_row};
 use oplog::record::{decode_change, encode_change};
 use oplog::{LogPos, Oplog};
 use proptest::prelude::*;
