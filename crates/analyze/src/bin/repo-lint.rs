@@ -12,10 +12,11 @@
 //! * `--escapes` — print the full escape table: every honoured
 //!   `lint:allow` with its justification (bare escapes are flagged);
 //! * `--locks` — also run the [`analyze::locks`] concurrency audit
-//!   and fail on any error-severity A3xx finding (lock-order cycle,
-//!   unranked lock, rank contradiction).
+//!   (A301 guard across a blocking call, A302 guard across
+//!   `catch_unwind`, A303 unranked lock) and fail on any
+//!   error-severity finding.
 
-use analyze::lint::lint_workspace;
+use analyze::lint::{lint_workspace, Escape};
 use analyze::locks::audit_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,6 +26,19 @@ fn default_root() -> PathBuf {
         // crates/analyze → workspace root is two levels up.
         Some(dir) => PathBuf::from(dir).join("../.."),
         None => PathBuf::from("."),
+    }
+}
+
+fn print_escapes(title: &str, escapes: &[Escape]) {
+    println!("{title} ({} honoured):", escapes.len());
+    for e in escapes {
+        println!(
+            "  {}:{} [{}] {}",
+            e.file,
+            e.line,
+            e.rule,
+            e.reason.as_deref().unwrap_or("(no reason given)")
+        );
     }
 }
 
@@ -80,16 +94,7 @@ fn main() -> ExitCode {
         .filter(|e| e.reason.is_none())
         .collect();
     if show_escapes {
-        println!("escape table ({} honoured):", report.escapes.len());
-        for e in &report.escapes {
-            println!(
-                "  {}:{} [{}] {}",
-                e.file,
-                e.line,
-                e.rule,
-                e.reason.as_deref().unwrap_or("(no reason given)")
-            );
-        }
+        print_escapes("escape table", &report.escapes);
     }
     for e in &bare {
         println!(
@@ -102,21 +107,7 @@ fn main() -> ExitCode {
     if locks {
         match audit_workspace(&root) {
             Ok(audit) => {
-                for f in audit.errors() {
-                    println!(
-                        "{}[{}] {}{}",
-                        f.diagnostic.severity,
-                        f.diagnostic.code,
-                        if f.line > 0 {
-                            format!("{}:{}: ", f.file, f.line)
-                        } else {
-                            String::new()
-                        },
-                        f.diagnostic.message
-                    );
-                    lock_errors += 1;
-                }
-                for f in audit.warnings() {
+                for f in &audit.findings {
                     println!(
                         "{}[{}] {}:{}: {}",
                         f.diagnostic.severity,
@@ -126,23 +117,14 @@ fn main() -> ExitCode {
                         f.diagnostic.message
                     );
                 }
+                lock_errors = audit.errors().len();
                 if show_escapes && !audit.escapes.is_empty() {
-                    println!("lock-audit escapes ({} honoured):", audit.escapes.len());
-                    for e in &audit.escapes {
-                        println!(
-                            "  {}:{} [{}] {}",
-                            e.file,
-                            e.line,
-                            e.rule,
-                            e.reason.as_deref().unwrap_or("(no reason given)")
-                        );
-                    }
+                    print_escapes("lock audit escapes", &audit.escapes);
                 }
                 println!(
-                    "lock-audit: {} locks, {} edges, {} error(s), {} warning(s)",
+                    "lock audit: {} locks, {} error(s), {} warning(s)",
                     audit.decls.len(),
-                    audit.edges.len(),
-                    audit.errors().len(),
+                    lock_errors,
                     audit.warnings().len(),
                 );
             }

@@ -52,20 +52,16 @@ pub enum Code {
     A204AggregateTargetNotMeasure,
     /// `A205` — the query projects no axes at all.
     A205NoAxes,
-    /// `A300` — lock-order cycle in the interprocedural lock graph.
-    A300LockOrderCycle,
     /// `A301` — lock guard held across a blocking operation.
     A301LockAcrossBlocking,
     /// `A302` — lock guard held across `catch_unwind`.
     A302LockAcrossCatchUnwind,
     /// `A303` — lock field with no rank in a ranked crate.
     A303UnrankedLock,
-    /// `A304` — observed acquisition order contradicts the rank table.
-    A304RankOrderContradiction,
 }
 
 /// Every code, in ascending order (drives `explain --list`).
-pub const ALL_CODES: [Code; 22] = [
+pub const ALL_CODES: [Code; 20] = [
     Code::A001UnknownCube,
     Code::A002UnknownAxisAttribute,
     Code::A003UnknownMeasure,
@@ -83,11 +79,9 @@ pub const ALL_CODES: [Code; 22] = [
     Code::A203DuplicateAxis,
     Code::A204AggregateTargetNotMeasure,
     Code::A205NoAxes,
-    Code::A300LockOrderCycle,
     Code::A301LockAcrossBlocking,
     Code::A302LockAcrossCatchUnwind,
     Code::A303UnrankedLock,
-    Code::A304RankOrderContradiction,
 ];
 
 impl Code {
@@ -111,11 +105,9 @@ impl Code {
             Code::A203DuplicateAxis => "A203",
             Code::A204AggregateTargetNotMeasure => "A204",
             Code::A205NoAxes => "A205",
-            Code::A300LockOrderCycle => "A300",
             Code::A301LockAcrossBlocking => "A301",
             Code::A302LockAcrossCatchUnwind => "A302",
             Code::A303UnrankedLock => "A303",
-            Code::A304RankOrderContradiction => "A304",
         }
     }
 
@@ -155,15 +147,9 @@ impl Code {
             Code::A203DuplicateAxis => "the same attribute appears on more than one axis",
             Code::A204AggregateTargetNotMeasure => "aggregate target is not a numeric measure",
             Code::A205NoAxes => "query projects no axes",
-            Code::A300LockOrderCycle => {
-                "lock-order cycle: two paths acquire locks in opposite order"
-            }
             Code::A301LockAcrossBlocking => "lock guard held across a blocking operation",
             Code::A302LockAcrossCatchUnwind => "lock guard held across catch_unwind",
             Code::A303UnrankedLock => "lock field in a ranked crate carries no rank",
-            Code::A304RankOrderContradiction => {
-                "observed acquisition order contradicts the LockRank table"
-            }
         }
     }
 }
@@ -265,16 +251,6 @@ pub fn explain(code: &str) -> Option<&'static str> {
             "A205 no axes: the query projects nothing; at least one axis \
              attribute is required to shape the pivot."
         }
-        Code::A300LockOrderCycle => {
-            "A300 lock-order cycle: the interprocedural lock graph contains a \
-             cycle — some execution path acquires lock B while holding lock A, \
-             and another acquires A while holding B. Two threads interleaving \
-             those paths deadlock. The diagnostic carries the full witness \
-             path (function chain and acquisition sites for every edge of the \
-             cycle). Fix by making every path acquire the locks in the \
-             LockRank order, or by shrinking one guard's scope so the inner \
-             acquisition happens after release."
-        }
         Code::A301LockAcrossBlocking => {
             "A301 lock across blocking operation: a guard is live across a \
              call that can block indefinitely (channel recv, thread join, \
@@ -299,16 +275,8 @@ pub fn explain(code: &str) -> Option<&'static str> {
              discipline (serve, segstore, warehouse, oplog) is neither a \
              RankedMutex/RankedRwLock nor annotated with a \
              `// lock:rank(Name)` comment. Unranked locks are invisible to \
-             both the static order check and the runtime rank assertion, so \
-             the deadlock-freedom argument no longer covers them."
-        }
-        Code::A304RankOrderContradiction => {
-            "A304 rank-order contradiction: the static lock graph observed an \
-             acquisition edge from a higher-ranked (or equal-ranked) lock to \
-             a lower-ranked one, contradicting obs::LockRank. Either the code \
-             is wrong (reorder the acquisitions or split the critical \
-             section) or the rank table is — the two are kept honest against \
-             each other by the lock_conformance test."
+             the runtime rank assertion, so the deadlock-freedom argument no \
+             longer covers them."
         }
     })
 }

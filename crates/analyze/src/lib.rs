@@ -42,4 +42,4 @@ pub use diag::{explain, Code, Diagnostic, Diagnostics, Severity, ALL_CODES};
 pub use distance::{closest, edit_distance};
 pub use footprint::QueryFootprint;
 pub use lint::{check_source, lint_workspace, LintReport, Violation};
-pub use locks::{audit_sources, audit_workspace, LockAudit, LockDecl, LockEdge, LockFinding};
+pub use locks::{audit_sources, audit_workspace, LockAudit, LockDecl, LockFinding};

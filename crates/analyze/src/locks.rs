@@ -1,18 +1,17 @@
-//! Interprocedural lock-order auditor (the static half of the
-//! concurrency discipline; `obs::lockrank` is the dynamic half).
+//! Per-function lock-discipline checks: the static complement to the
+//! runtime rank table in `obs::lockrank`.
 //!
-//! The pass parses every crate's source heuristically — no rustc, no
-//! syn — extracting *lock-site facts*: which `Mutex`/`RwLock` field
-//! each acquisition touches, how far the guard's scope extends
-//! (tracked by brace depth), and whether the access is a read or a
-//! write. Call edges are resolved by same-crate name resolution
-//! (receiver field types, `impl` blocks, trait-method unions for
-//! `dyn` dispatch), and the transitive closure yields the
-//! interprocedural lock-acquisition graph. Over that graph it
-//! reports, as typed [`Diagnostic`]s in the stable `A3xx` band:
+//! Lock *order* is checked in one place only: every
+//! `RankedMutex`/`RankedRwLock` acquisition asserts strictly ascending
+//! [`obs::LockRank`] at runtime, exactly and across crates, in every
+//! debug build. This pass covers what that check cannot observe. It
+//! parses every crate's source heuristically — no rustc, no syn —
+//! extracting lock declarations with their ranks and, inside each
+//! function, how far every guard's scope extends (brace depth,
+//! `drop(guard)`, lock accessors, loop bindings over lock
+//! collections). It reports, as typed [`Diagnostic`]s in the stable
+//! `A3xx` band:
 //!
-//! * **A300** — lock-order cycles, with the full witness path
-//!   (function chain and acquisition site for every edge).
 //! * **A301** — guards held across blocking operations (channel
 //!   recv, thread join, sleep, condvar waits, disk I/O,
 //!   `fault::point` sites).
@@ -21,8 +20,6 @@
 //!   discipline ([`RANKED_CRATES`]): neither a
 //!   `RankedMutex`/`RankedRwLock` nor a `// lock:rank(Name)`
 //!   annotation.
-//! * **A304** — acquisition edges that contradict the runtime
-//!   [`obs::LockRank`] table (descending or equal rank).
 //!
 //! Deliberate A301/A302 patterns are escaped in place with
 //! `lint:allow(A301, "reason")`, sharing the lint module's escape
@@ -32,13 +29,12 @@
 //! …)` constructor calls — matched to field declarations by the
 //! name's last dot-segment or by a `field:` prefix on the same
 //! logical line — and from `lock:rank(X)` comment annotations. The
-//! derived topological order is diffed against the runtime table by
-//! the `lock_conformance` integration test, so the static and
-//! dynamic halves cannot drift apart silently.
+//! `lock_conformance` integration test checks that every extracted
+//! rank parses into the runtime table and that every runtime rank is
+//! backed by a declared lock.
 
-use crate::diag::{Code, Diagnostic, Diagnostics, Severity};
+use crate::diag::{Code, Diagnostic, Severity};
 use crate::lint::{self, escape_for, test_mask, workspace_sources, Escape};
-use obs::LockRank;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -47,15 +43,6 @@ use std::path::Path;
 /// Crates whose locks must carry a rank (A303 fires on bare
 /// `Mutex`/`RwLock` fields here).
 pub const RANKED_CRATES: [&str; 4] = ["serve", "segstore", "warehouse", "oplog"];
-
-/// Whether a lock is a mutex or a reader-writer lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// `Mutex` / `RankedMutex`.
-    Mutex,
-    /// `RwLock` / `RankedRwLock`.
-    RwLock,
-}
 
 /// One lock declaration discovered in the source.
 #[derive(Debug, Clone)]
@@ -69,8 +56,6 @@ pub struct LockDecl {
     pub file: String,
     /// 1-based line of the field declaration.
     pub line: usize,
-    /// Mutex or RwLock.
-    pub kind: LockKind,
     /// Declared via the ranked wrappers (vs a bare `std::sync` lock).
     pub ranked_wrapper: bool,
     /// The struct-field (or binding) name.
@@ -79,30 +64,12 @@ pub struct LockDecl {
     pub krate: String,
 }
 
-/// One acquisition-order edge: `to` is acquired while `from` is held.
-#[derive(Debug, Clone)]
-pub struct LockEdge {
-    /// Lock held at the acquisition site.
-    pub from: String,
-    /// Lock acquired under it.
-    pub to: String,
-    /// Workspace-relative file of the acquisition site.
-    pub file: String,
-    /// 1-based line of the acquisition site.
-    pub line: usize,
-    /// Function containing the site.
-    pub func: String,
-    /// Call chain from `func` to the function that acquires `to`
-    /// (empty for a direct same-function acquisition).
-    pub via: Vec<String>,
-}
-
 /// One audit finding: a typed diagnostic pinned to a file and line.
 #[derive(Debug, Clone)]
 pub struct LockFinding {
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based line (0 when the finding is graph-global, e.g. a cycle).
+    /// 1-based line.
     pub line: usize,
     /// The coded diagnostic.
     pub diagnostic: Diagnostic,
@@ -113,8 +80,6 @@ pub struct LockFinding {
 pub struct LockAudit {
     /// Every lock declaration found.
     pub decls: Vec<LockDecl>,
-    /// Deduplicated acquisition-order edges (first witness kept).
-    pub edges: Vec<LockEdge>,
     /// A3xx findings, errors first.
     pub findings: Vec<LockFinding>,
     /// `lint:allow(A3xx, …)` escapes honoured during the audit.
@@ -122,7 +87,7 @@ pub struct LockAudit {
 }
 
 impl LockAudit {
-    /// Findings with error severity (A300, A303, A304).
+    /// Findings with error severity (A303).
     pub fn errors(&self) -> Vec<&LockFinding> {
         self.findings
             .iter()
@@ -136,150 +101,6 @@ impl LockAudit {
             .iter()
             .filter(|f| f.diagnostic.severity == Severity::Warning)
             .collect()
-    }
-
-    /// The findings folded into the analyzer's [`Diagnostics`]
-    /// machinery (file:line prefixed onto each message).
-    pub fn diagnostics(&self) -> Diagnostics {
-        let mut out = Diagnostics::default();
-        for f in &self.findings {
-            let mut d = f.diagnostic.clone();
-            if f.line > 0 {
-                d.message = format!("{}:{}: {}", f.file, f.line, d.message);
-            } else if !f.file.is_empty() {
-                d.message = format!("{}: {}", f.file, d.message);
-            }
-            out.push(d);
-        }
-        out
-    }
-
-    /// Distinct lock ids that appear in at least one edge or decl.
-    pub fn lock_ids(&self) -> BTreeSet<String> {
-        let mut ids: BTreeSet<String> = self.decls.iter().map(|d| d.id.clone()).collect();
-        for e in &self.edges {
-            ids.insert(e.from.clone());
-            ids.insert(e.to.clone());
-        }
-        ids
-    }
-
-    /// Topological order of the locks constrained by the observed
-    /// edges (Kahn's algorithm; alphabetical tie-break so the result
-    /// is deterministic). Locks in a cycle are appended at the end in
-    /// alphabetical order.
-    pub fn derived_order(&self) -> Vec<String> {
-        let ids = self.lock_ids();
-        let mut indegree: BTreeMap<&str, usize> = ids.iter().map(|i| (i.as_str(), 0)).collect();
-        let mut succ: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for e in &self.edges {
-            if succ.entry(&e.from).or_default().insert(&e.to) {
-                *indegree.entry(&e.to).or_default() += 1;
-            }
-        }
-        let mut order = Vec::new();
-        let mut ready: BTreeSet<&str> = indegree
-            .iter()
-            .filter(|(_, d)| **d == 0)
-            .map(|(i, _)| *i)
-            .collect();
-        while let Some(&next) = ready.iter().next() {
-            ready.remove(next);
-            order.push(next.to_string());
-            for s in succ.get(next).cloned().unwrap_or_default() {
-                let d = indegree.get_mut(s).expect("successor is a known lock");
-                *d -= 1;
-                if *d == 0 {
-                    ready.insert(s);
-                }
-            }
-        }
-        for id in ids.iter() {
-            if !order.iter().any(|o| o == id) {
-                order.push(id.clone());
-            }
-        }
-        order
-    }
-
-    /// Human-readable report for the CLIs.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "lock audit: {} locks, {} edges, {} findings\n",
-            self.decls.len(),
-            self.edges.len(),
-            self.findings.len()
-        ));
-        out.push_str("\nlocks:\n");
-        for d in &self.decls {
-            out.push_str(&format!(
-                "  {:<28} rank={:<12} {} ({}:{})\n",
-                d.id,
-                d.rank.as_deref().unwrap_or("-"),
-                if d.kind == LockKind::Mutex {
-                    "mutex"
-                } else {
-                    "rwlock"
-                },
-                d.file,
-                d.line
-            ));
-        }
-        out.push_str("\nedges (held -> acquired):\n");
-        for e in &self.edges {
-            let via = if e.via.is_empty() {
-                String::new()
-            } else {
-                format!(" via {}", e.via.join(" -> "))
-            };
-            out.push_str(&format!(
-                "  {} -> {}  [{} at {}:{}{}]\n",
-                e.from, e.to, e.func, e.file, e.line, via
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\nfindings:\n");
-            for f in &self.findings {
-                out.push_str(&format!("  {}\n", self.render_finding(f)));
-            }
-        }
-        out
-    }
-
-    fn render_finding(&self, f: &LockFinding) -> String {
-        if f.line > 0 {
-            format!(
-                "{}[{}] {}:{}: {}",
-                f.diagnostic.severity, f.diagnostic.code, f.file, f.line, f.diagnostic.message
-            )
-        } else {
-            format!(
-                "{}[{}] {}",
-                f.diagnostic.severity, f.diagnostic.code, f.diagnostic.message
-            )
-        }
-    }
-
-    /// Graphviz rendering of the lock graph for the `lock-audit` CLI.
-    pub fn dot(&self) -> String {
-        let mut out = String::from("digraph locks {\n  rankdir=LR;\n");
-        for d in &self.decls {
-            out.push_str(&format!(
-                "  \"{}\" [label=\"{}\\n{}\"];\n",
-                d.id,
-                d.id,
-                d.rank.as_deref().unwrap_or("unranked")
-            ));
-        }
-        let mut seen = BTreeSet::new();
-        for e in &self.edges {
-            if seen.insert((e.from.clone(), e.to.clone())) {
-                out.push_str(&format!("  \"{}\" -> \"{}\";\n", e.from, e.to));
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -415,14 +236,12 @@ fn find_needle(code: &str, needle: &str) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: declarations, types, functions
+// Pass 1: declarations and functions
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 struct FnInfo {
     krate: String,
-    /// `impl` target type, or empty for a free function.
-    type_name: String,
     name: String,
     file: String,
     /// Logical body lines (line number, raw, code).
@@ -433,14 +252,6 @@ struct FnInfo {
 
 #[derive(Debug, Default)]
 struct CrateTable {
-    /// field name → candidate owner types (across all structs).
-    field_types: BTreeMap<String, BTreeSet<String>>,
-    /// (type, method) → indices into `fns`.
-    methods: BTreeMap<(String, String), Vec<usize>>,
-    /// free/any fn name → indices into `fns`.
-    by_name: BTreeMap<String, Vec<usize>>,
-    /// trait name → implementing types.
-    trait_impls: BTreeMap<String, BTreeSet<String>>,
     /// lock field name → lock id (within this crate).
     lock_fields: BTreeMap<String, String>,
     /// accessor fn name → lock id.
@@ -454,38 +265,13 @@ struct World {
     decls: Vec<LockDecl>,
 }
 
-/// Strip `Arc<`, `Box<`, `&`, `dyn `, `Option<` wrappers off a type
-/// string and return the first path ident of what remains.
-fn base_type(ty: &str) -> String {
-    let mut t = ty.trim();
-    loop {
-        let before = t;
-        for w in ["Arc<", "Box<", "Rc<", "Option<", "Vec<"] {
-            if let Some(rest) = t.strip_prefix(w) {
-                t = rest.trim_end_matches('>').trim();
-            }
-        }
-        t = t.trim_start_matches('&').trim_start_matches("dyn ").trim();
-        if t == before {
-            break;
-        }
-    }
-    t.split(|c: char| !is_ident_char(c))
-        .find(|s| !s.is_empty())
-        .unwrap_or("")
-        .to_string()
-}
-
-fn lock_kind_of(ty: &str) -> Option<(LockKind, bool)> {
-    // Order matters: Ranked* contains the bare names as substrings.
-    if ty.contains("RankedMutex<") {
-        Some((LockKind::Mutex, true))
-    } else if ty.contains("RankedRwLock<") {
-        Some((LockKind::RwLock, true))
-    } else if ty.contains("Mutex<") {
-        Some((LockKind::Mutex, false))
-    } else if ty.contains("RwLock<") {
-        Some((LockKind::RwLock, false))
+/// `Some(ranked_wrapper)` when `ty` is a mutex or reader-writer lock.
+fn lock_type(ty: &str) -> Option<bool> {
+    // Ranked* contains the bare names as substrings.
+    if ty.contains("RankedMutex<") || ty.contains("RankedRwLock<") {
+        Some(true)
+    } else if ty.contains("Mutex<") || ty.contains("RwLock<") {
+        Some(false)
     } else {
         None
     }
@@ -541,16 +327,8 @@ fn constructor_facts(raw: &str) -> Vec<(String, String, Option<String>)> {
 
 fn pass1(files: &[(String, String)]) -> World {
     let mut world = World::default();
-    // (crate, field, kind, ranked, file, line, annot_rank)
-    type RawField = (
-        String,
-        String,
-        LockKind,
-        bool,
-        String,
-        usize,
-        Option<String>,
-    );
+    // (crate, field, ranked, file, line, annot_rank)
+    type RawField = (String, String, bool, String, usize, Option<String>);
     let mut raw_fields: Vec<RawField> = Vec::new();
     // crate → field/name-segment → (rank, canonical name)
     let mut ctor_by_field: BTreeMap<String, BTreeMap<String, (String, String)>> = BTreeMap::new();
@@ -559,10 +337,8 @@ fn pass1(files: &[(String, String)]) -> World {
         let Some(krate) = crate_of(rel) else { continue };
         let mask = test_mask(source);
         let lines = logical_lines(source);
-        let table = world.crates.entry(krate.clone()).or_default();
+        world.crates.entry(krate.clone()).or_default();
 
-        let mut impl_type = String::new();
-        let mut impl_depth = 0i64;
         let mut depth = 0i64;
         let mut pending_fn: Option<(String, bool)> = None;
         let mut open_fn: Option<(usize, i64)> = None; // (fns index, body depth)
@@ -581,29 +357,7 @@ fn pass1(files: &[(String, String)]) -> World {
             }
             let trimmed = ll.code.trim();
 
-            // impl blocks: `impl Foo {`, `impl Trait for Foo {`.
-            if impl_type.is_empty() && trimmed.starts_with("impl") {
-                let head = trimmed.trim_start_matches("impl").trim();
-                let head = head.split('{').next().unwrap_or("").trim();
-                // Drop generic params on `impl<T>`.
-                let head = head.trim_start_matches(['<', '>']);
-                if let Some((tr, ty)) = head.split_once(" for ") {
-                    impl_type = base_type(ty);
-                    let tr = base_type(tr);
-                    if !tr.is_empty() && !impl_type.is_empty() {
-                        table
-                            .trait_impls
-                            .entry(tr)
-                            .or_default()
-                            .insert(impl_type.clone());
-                    }
-                } else {
-                    impl_type = base_type(head);
-                }
-                impl_depth = depth + 1;
-            }
-
-            // Field declarations (and type facts) inside structs.
+            // Lock field declarations inside structs.
             let decl = trimmed.strip_prefix("pub ").unwrap_or(trimmed);
             if depth >= 1 && !decl.contains("::new(") && !decl.starts_with("fn ") {
                 if let Some((name, ty)) = decl.split_once(':') {
@@ -614,15 +368,7 @@ fn pass1(files: &[(String, String)]) -> World {
                         && !ty.is_empty()
                         && !ty.contains("=>")
                     {
-                        let bt = base_type(ty);
-                        if !bt.is_empty() && bt.chars().next().is_some_and(|c| c.is_uppercase()) {
-                            table
-                                .field_types
-                                .entry(name.to_string())
-                                .or_default()
-                                .insert(bt);
-                        }
-                        if let Some((kind, ranked)) = lock_kind_of(ty) {
+                        if let Some(ranked) = lock_type(ty) {
                             let annot = ll.raw.find("lock:rank(").map(|p| {
                                 ll.raw[p + "lock:rank(".len()..]
                                     .chars()
@@ -632,7 +378,6 @@ fn pass1(files: &[(String, String)]) -> World {
                             raw_fields.push((
                                 krate.clone(),
                                 name.to_string(),
-                                kind,
                                 ranked,
                                 rel.clone(),
                                 ll.line,
@@ -672,7 +417,7 @@ fn pass1(files: &[(String, String)]) -> World {
                 }
             }
 
-            // Brace walk: open fns, close fns and impl blocks.
+            // Brace walk: open and close fns.
             for c in ll.code.chars() {
                 match c {
                     '{' => {
@@ -681,7 +426,6 @@ fn pass1(files: &[(String, String)]) -> World {
                             if open_fn.is_none() {
                                 world.fns.push(FnInfo {
                                     krate: krate.clone(),
-                                    type_name: impl_type.clone(),
                                     name,
                                     file: rel.clone(),
                                     body: Vec::new(),
@@ -697,19 +441,14 @@ fn pass1(files: &[(String, String)]) -> World {
                                 open_fn = None;
                             }
                         }
-                        if !impl_type.is_empty() && depth == impl_depth {
-                            impl_type.clear();
-                        }
                         depth -= 1;
                     }
                     _ => {}
                 }
             }
+            // The signature line stays in the body: acquisitions can
+            // share the brace line.
             if let Some((idx, _)) = open_fn {
-                // The signature line itself is excluded from the body.
-                if world.fns[idx].body.is_empty() && find_fn_name(trimmed).is_some() {
-                    // still include: acquisitions can share the brace line
-                }
                 world.fns[idx]
                     .body
                     .push((ll.line, ll.raw.clone(), ll.code.clone()));
@@ -718,7 +457,7 @@ fn pass1(files: &[(String, String)]) -> World {
     }
 
     // Fold fields + constructors into LockDecls.
-    for (krate, field, kind, ranked, file, line, annot) in raw_fields {
+    for (krate, field, ranked, file, line, annot) in raw_fields {
         let ctor = ctor_by_field
             .get(&krate)
             .and_then(|m| m.get(&field))
@@ -736,7 +475,6 @@ fn pass1(files: &[(String, String)]) -> World {
             rank,
             file,
             line,
-            kind,
             ranked_wrapper: ranked,
             field,
             krate,
@@ -747,19 +485,6 @@ fn pass1(files: &[(String, String)]) -> World {
     world
         .decls
         .retain(|d| seen.insert((d.krate.clone(), d.id.clone(), d.file.clone())));
-
-    // Index functions.
-    for (i, f) in world.fns.iter().enumerate() {
-        let table = world.crates.entry(f.krate.clone()).or_default();
-        table.by_name.entry(f.name.clone()).or_default().push(i);
-        if !f.type_name.is_empty() {
-            table
-                .methods
-                .entry((f.type_name.clone(), f.name.clone()))
-                .or_default()
-                .push(i);
-        }
-    }
 
     // Resolve accessor fns (return `&RankedMutex<…>`) to the lock
     // field their body mentions.
@@ -811,17 +536,12 @@ fn find_fn_name(code: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: per-function events
+// Pass 2: per-function guard scopes
 // ---------------------------------------------------------------------------
 
-const ACQUIRE_NEEDLES: [(&str, bool); 4] = [
-    (".try_lock()", false),
-    (".lock()", false),
-    (".write()", true),
-    (".read()", true),
-];
+const ACQUIRE_NEEDLES: [&str; 4] = [".try_lock()", ".lock()", ".write()", ".read()"];
 
-const BLOCKING_NEEDLES: [&str; 16] = [
+const BLOCKING_NEEDLES: [&str; 17] = [
     ".recv()",
     ".recv_timeout(",
     ".join()",
@@ -837,61 +557,17 @@ const BLOCKING_NEEDLES: [&str; 16] = [
     ".read_exact(",
     ".flush(",
     ".sync_all(",
+    ".sync_data(",
     "fs::remove_file(",
 ];
 
-/// Methods so common on std containers that resolving them by bare
-/// name would wire the call graph to the wrong crate fn.
-const METHOD_DENYLIST: [&str; 18] = [
-    "insert",
-    "get",
-    "get_mut",
-    "push",
-    "pop",
-    "len",
-    "is_empty",
-    "clear",
-    "iter",
-    "clone",
-    "next",
-    "entry",
-    "keys",
-    "values",
-    "retain",
-    "extend",
-    "drain",
-    "contains_key",
-];
-
-#[derive(Debug, Clone)]
-enum Event {
-    /// (lock id, line, held-beyond-statement, let-bound guard var)
-    Acquire(String, usize, bool, Option<String>),
-    /// (fn indices, line)
-    Call(Vec<usize>, usize),
-    /// (needle, line, escaped)
-    Blocking(&'static str, usize, bool),
-    /// (line, escaped)
-    CatchUnwind(usize, bool),
-    /// `drop(var)` / end-of-scope for the named guard var.
-    Release(String),
-    /// Brace depth after this point fell to `depth`.
-    Depth(i64),
-}
-
-struct FnEvents {
-    events: Vec<Event>,
-    /// Locks this fn acquires directly (for the fixpoint).
-    direct: BTreeSet<String>,
-    /// Callee fn indices.
-    callees: BTreeSet<usize>,
-}
-
-fn analyze_fn(f: &FnInfo, world: &World, escapes: &mut Vec<Escape>) -> FnEvents {
-    let table = world.crates.get(&f.krate).expect("crate table exists");
-    let mut events = Vec::new();
-    let mut direct = BTreeSet::new();
-    let mut callees = BTreeSet::new();
+/// Walk one function's body, tracking which guards are live, and
+/// record A301/A302 findings and honoured escapes into `audit`.
+fn check_fn(f: &FnInfo, table: &CrateTable, audit: &mut LockAudit) {
+    // (lock, depth at open)
+    let mut held: Vec<(String, i64)> = Vec::new();
+    // let-bound guard var → lock, for `drop(var)`.
+    let mut var_of: BTreeMap<String, String> = BTreeMap::new();
     let mut depth = 0i64;
     // for-loop / iterator bindings of lock collections: var → lock id.
     let mut loop_binds: BTreeMap<String, String> = BTreeMap::new();
@@ -919,14 +595,16 @@ fn analyze_fn(f: &FnInfo, world: &World, escapes: &mut Vec<Escape>) -> FnEvents 
                 .chars()
                 .take_while(|c| is_ident_char(*c))
                 .collect();
-            if !arg.is_empty() {
-                events.push(Event::Release(arg));
+            if let Some(lock) = var_of.get(&arg) {
+                if let Some(pos) = held.iter().rposition(|(l, _)| l == lock) {
+                    held.remove(pos);
+                }
             }
         }
 
         // Acquisitions.
         let mut best: Vec<(usize, String, bool)> = Vec::new(); // (pos, lock, held)
-        for (needle, _is_rw) in ACQUIRE_NEEDLES {
+        for needle in ACQUIRE_NEEDLES {
             for pos in find_needle(code, needle) {
                 // `.lock()` also matches inside `.try_lock()`: skip
                 // positions already claimed by a longer needle.
@@ -963,53 +641,53 @@ fn analyze_fn(f: &FnInfo, world: &World, escapes: &mut Vec<Escape>) -> FnEvents 
         }
         best.sort_by_key(|(p, _, _)| *p);
         let bound_var = let_bound_var(trimmed);
-        for (_, lock, held) in &best {
-            direct.insert(lock.clone());
-            events.push(Event::Acquire(
-                lock.clone(),
-                *line,
-                *held,
-                held.then(|| bound_var.clone()).flatten(),
-            ));
-        }
-
-        // Calls (same-crate resolution).
-        for idx in resolve_calls(code, &f.type_name, table, world) {
-            callees.insert(idx);
-            events.push(Event::Call(vec![idx], *line));
+        for (_, lock, held_beyond) in best {
+            if held_beyond {
+                if let Some(v) = &bound_var {
+                    var_of.insert(v.clone(), lock.clone());
+                }
+                held.push((lock, depth));
+            }
         }
 
         // Blocking operations and catch_unwind.
-        for needle in BLOCKING_NEEDLES {
-            if !code.contains(needle) {
-                continue;
-            }
-            let escaped = escape_for(raw, "A301");
+        let mut check = |rule: &'static str, kind: Code, what: String| {
+            let escaped = escape_for(raw, rule);
             if let Some(reason) = &escaped {
-                escapes.push(Escape {
+                audit.escapes.push(Escape {
                     file: f.file.clone(),
                     line: *line,
-                    rule: "A301",
+                    rule,
                     reason: reason.clone(),
                 });
             }
-            events.push(Event::Blocking(needle, *line, escaped.is_some()));
-            break;
+            if let (Some((h, _)), None) = (held.last(), escaped) {
+                audit.findings.push(LockFinding {
+                    file: f.file.clone(),
+                    line: *line,
+                    diagnostic: Diagnostic::warning(
+                        kind,
+                        format!("lock `{h}` held across {what} in `{}`", f.name),
+                    ),
+                });
+            }
+        };
+        if let Some(needle) = BLOCKING_NEEDLES.iter().find(|n| code.contains(**n)) {
+            check(
+                "A301",
+                Code::A301LockAcrossBlocking,
+                format!("blocking `{}`", needle.trim_matches(['.', '('])),
+            );
         }
         if code.contains("catch_unwind") {
-            let escaped = escape_for(raw, "A302");
-            if let Some(reason) = &escaped {
-                escapes.push(Escape {
-                    file: f.file.clone(),
-                    line: *line,
-                    rule: "A302",
-                    reason: reason.clone(),
-                });
-            }
-            events.push(Event::CatchUnwind(*line, escaped.is_some()));
+            check(
+                "A302",
+                Code::A302LockAcrossCatchUnwind,
+                "catch_unwind".to_string(),
+            );
         }
 
-        // Brace depth.
+        // Brace depth: guards opened deeper than the new depth close.
         for c in code.chars() {
             match c {
                 '{' => depth += 1,
@@ -1017,12 +695,7 @@ fn analyze_fn(f: &FnInfo, world: &World, escapes: &mut Vec<Escape>) -> FnEvents 
                 _ => {}
             }
         }
-        events.push(Event::Depth(depth));
-    }
-    FnEvents {
-        events,
-        direct,
-        callees,
+        held.retain(|(_, open)| depth >= *open);
     }
 }
 
@@ -1078,121 +751,8 @@ fn held_beyond_statement(code: &str, mut end: usize, trimmed: &str) -> bool {
     terminal && (trimmed.starts_with("let ") || trimmed.starts_with("if let "))
 }
 
-fn resolve_calls(code: &str, self_type: &str, table: &CrateTable, world: &World) -> Vec<usize> {
-    let mut out = Vec::new();
-    let bytes = code.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'(' && i > 0 {
-            let mut s = i;
-            while s > 0 && is_ident_char(bytes[s - 1] as char) {
-                s -= 1;
-            }
-            if s < i {
-                let name = &code[s..i];
-                let before = if s > 0 { bytes[s - 1] as char } else { ' ' };
-                if before == '!' || name == "fn" {
-                    i += 1;
-                    continue;
-                }
-                // Don't treat `fn name(` definitions as calls.
-                let prefix = code[..s].trim_end();
-                if prefix.ends_with("fn") {
-                    i += 1;
-                    continue;
-                }
-                let resolved: Vec<usize> = if before == '.' {
-                    let recv = receiver_component(code, s - 1);
-                    match recv.as_deref() {
-                        Some("self") => lookup_method(table, self_type, name)
-                            .or_else(|| table.by_name.get(name).cloned())
-                            .unwrap_or_default(),
-                        Some(r) => {
-                            if METHOD_DENYLIST.contains(&name) {
-                                Vec::new()
-                            } else if let Some(r) = r.strip_suffix("()") {
-                                // Chained accessor: type comes from the
-                                // accessor's lock — skip, handled as an
-                                // acquisition.
-                                let _ = r;
-                                Vec::new()
-                            } else {
-                                resolve_field_method(table, world, r, name)
-                            }
-                        }
-                        None => Vec::new(),
-                    }
-                } else if before == ':' {
-                    // `Type::name(` — the segment before `::`.
-                    let head = code[..s.saturating_sub(2)]
-                        .rsplit(|c: char| !is_ident_char(c))
-                        .next()
-                        .unwrap_or("");
-                    table
-                        .methods
-                        .get(&(head.to_string(), name.to_string()))
-                        .cloned()
-                        .unwrap_or_default()
-                } else if !is_ident_char(before) {
-                    table
-                        .by_name
-                        .get(name)
-                        .cloned()
-                        .unwrap_or_default()
-                        .into_iter()
-                        // Bare-name calls resolve to free fns only;
-                        // methods need a receiver.
-                        .filter(|&idx| world.fns[idx].type_name.is_empty())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                out.extend(resolved);
-            }
-        }
-        i += 1;
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-fn lookup_method(table: &CrateTable, ty: &str, name: &str) -> Option<Vec<usize>> {
-    if ty.is_empty() {
-        return None;
-    }
-    table
-        .methods
-        .get(&(ty.to_string(), name.to_string()))
-        .cloned()
-}
-
-/// `recv.name(…)` where `recv` is a struct field: resolve via the
-/// field's candidate types (unioning trait impls for `dyn` fields).
-fn resolve_field_method(table: &CrateTable, world: &World, recv: &str, name: &str) -> Vec<usize> {
-    let Some(types) = table.field_types.get(recv) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for ty in types {
-        if let Some(m) = table.methods.get(&(ty.clone(), name.to_string())) {
-            out.extend(m.iter().copied());
-        }
-        // `dyn Trait` fields: union over implementing types.
-        if let Some(impls) = table.trait_impls.get(ty) {
-            for it in impls {
-                if let Some(m) = table.methods.get(&(it.clone(), name.to_string())) {
-                    out.extend(m.iter().copied());
-                }
-            }
-        }
-    }
-    let _ = world;
-    out
-}
-
 // ---------------------------------------------------------------------------
-// Graph construction and checks
+// Checks
 // ---------------------------------------------------------------------------
 
 /// Run the audit over in-memory `(workspace-relative path, source)`
@@ -1222,191 +782,10 @@ pub fn audit_sources(files: &[(String, String)]) -> LockAudit {
         }
     }
 
-    // Per-function events.
-    let fn_events: Vec<FnEvents> = world
-        .fns
-        .iter()
-        .map(|f| analyze_fn(f, &world, &mut audit.escapes))
-        .collect();
-
-    // Fixpoint: transitive lock sets with a sample call path per lock.
-    let mut trans: Vec<BTreeMap<String, Vec<String>>> = fn_events
-        .iter()
-        .map(|e| e.direct.iter().map(|l| (l.clone(), Vec::new())).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..world.fns.len() {
-            let callees: Vec<usize> = fn_events[i].callees.iter().copied().collect();
-            for c in callees {
-                if c == i {
-                    continue;
-                }
-                let add: Vec<(String, Vec<String>)> = trans[c]
-                    .iter()
-                    .map(|(l, path)| {
-                        let mut p = vec![world.fns[c].name.clone()];
-                        p.extend(path.iter().cloned());
-                        (l.clone(), p)
-                    })
-                    .collect();
-                for (l, p) in add {
-                    if let std::collections::btree_map::Entry::Vacant(e) = trans[i].entry(l) {
-                        e.insert(p);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
+    // A301, A302: per-function guard scopes.
+    for f in &world.fns {
+        check_fn(f, &world.crates[&f.krate], &mut audit);
     }
-
-    // Walk events: edges, A301, A302.
-    let mut edge_seen: BTreeSet<(String, String)> = BTreeSet::new();
-    for (i, f) in world.fns.iter().enumerate() {
-        // (lock, depth at open, synthetic release var)
-        let mut held: Vec<(String, i64)> = Vec::new();
-        let mut var_of: BTreeMap<String, String> = BTreeMap::new();
-        let mut depth = 0i64;
-        let mut last_line = 0usize;
-        for ev in &fn_events[i].events {
-            match ev {
-                Event::Depth(d) => {
-                    depth = *d;
-                    held.retain(|(_, open)| depth >= *open);
-                }
-                Event::Release(var) => {
-                    if let Some(lock) = var_of.get(var).cloned() {
-                        if let Some(pos) = held.iter().rposition(|(l, _)| *l == lock) {
-                            held.remove(pos);
-                        }
-                    }
-                }
-                Event::Acquire(lock, line, held_beyond, var) => {
-                    last_line = *line;
-                    for (h, _) in &held {
-                        if edge_seen.insert((h.clone(), lock.clone())) {
-                            audit.edges.push(LockEdge {
-                                from: h.clone(),
-                                to: lock.clone(),
-                                file: f.file.clone(),
-                                line: *line,
-                                func: f.name.clone(),
-                                via: Vec::new(),
-                            });
-                        }
-                    }
-                    if *held_beyond {
-                        held.push((lock.clone(), depth));
-                        if let Some(v) = var {
-                            var_of.insert(v.clone(), lock.clone());
-                        }
-                    }
-                }
-                Event::Call(idxs, line) => {
-                    last_line = *line;
-                    if held.is_empty() {
-                        continue;
-                    }
-                    for idx in idxs {
-                        for (lock, path) in &trans[*idx] {
-                            for (h, _) in &held {
-                                if h == lock {
-                                    continue; // re-entrant self edge: dynamic half's job
-                                }
-                                if edge_seen.insert((h.clone(), lock.clone())) {
-                                    let mut via = vec![world.fns[*idx].name.clone()];
-                                    via.extend(path.iter().cloned());
-                                    audit.edges.push(LockEdge {
-                                        from: h.clone(),
-                                        to: lock.clone(),
-                                        file: f.file.clone(),
-                                        line: *line,
-                                        func: f.name.clone(),
-                                        via,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                Event::Blocking(needle, line, escaped) => {
-                    last_line = *line;
-                    if !held.is_empty() && !escaped {
-                        let (h, _) = &held[held.len() - 1];
-                        audit.findings.push(LockFinding {
-                            file: f.file.clone(),
-                            line: *line,
-                            diagnostic: Diagnostic::warning(
-                                Code::A301LockAcrossBlocking,
-                                format!(
-                                    "lock `{}` held across blocking `{}` in `{}`",
-                                    h,
-                                    needle.trim_matches(['.', '(']),
-                                    f.name
-                                ),
-                            ),
-                        });
-                    }
-                }
-                Event::CatchUnwind(line, escaped) => {
-                    last_line = *line;
-                    if !held.is_empty() && !escaped {
-                        let (h, _) = &held[held.len() - 1];
-                        audit.findings.push(LockFinding {
-                            file: f.file.clone(),
-                            line: *line,
-                            diagnostic: Diagnostic::warning(
-                                Code::A302LockAcrossCatchUnwind,
-                                format!("lock `{}` held across catch_unwind in `{}`", h, f.name),
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        let _ = last_line;
-    }
-
-    // A304: edges contradicting the runtime rank table.
-    let rank_of: BTreeMap<&str, LockRank> = audit
-        .decls
-        .iter()
-        .filter_map(|d| {
-            d.rank
-                .as_deref()
-                .and_then(LockRank::parse)
-                .map(|r| (d.id.as_str(), r))
-        })
-        .collect();
-    let mut contradiction: Vec<LockFinding> = Vec::new();
-    for e in &audit.edges {
-        if let (Some(a), Some(b)) = (rank_of.get(e.from.as_str()), rank_of.get(e.to.as_str())) {
-            if a >= b {
-                contradiction.push(LockFinding {
-                    file: e.file.clone(),
-                    line: e.line,
-                    diagnostic: Diagnostic::error(
-                        Code::A304RankOrderContradiction,
-                        format!(
-                            "`{}` ({a}) acquired while holding `{}` ({b}) in `{}`{}: \
-                             contradicts the LockRank order",
-                            e.to,
-                            e.from,
-                            e.func,
-                            render_via(&e.via),
-                        ),
-                    ),
-                });
-            }
-        }
-    }
-    audit.findings.extend(contradiction);
-
-    // A300: cycles, with full witness paths.
-    audit.findings.extend(find_cycles(&audit.edges));
 
     audit.findings.sort_by_key(|f| {
         (
@@ -1416,93 +795,6 @@ pub fn audit_sources(files: &[(String, String)]) -> LockAudit {
         )
     });
     audit
-}
-
-fn render_via(via: &[String]) -> String {
-    if via.is_empty() {
-        String::new()
-    } else {
-        format!(" (via {})", via.join(" -> "))
-    }
-}
-
-/// DFS cycle detection; each cycle is reported once, with every edge's
-/// acquisition site as the witness.
-fn find_cycles(edges: &[LockEdge]) -> Vec<LockFinding> {
-    let mut adj: BTreeMap<&str, Vec<&LockEdge>> = BTreeMap::new();
-    for e in edges {
-        adj.entry(&e.from).or_default().push(e);
-    }
-    let mut findings = Vec::new();
-    let mut reported: BTreeSet<BTreeSet<String>> = BTreeSet::new();
-    let nodes: BTreeSet<&str> = edges
-        .iter()
-        .flat_map(|e| [e.from.as_str(), e.to.as_str()])
-        .collect();
-    for start in nodes {
-        let mut stack: Vec<&LockEdge> = Vec::new();
-        dfs_cycles(
-            start,
-            start,
-            &adj,
-            &mut stack,
-            &mut BTreeSet::new(),
-            &mut |cycle| {
-                let key: BTreeSet<String> = cycle.iter().map(|e| e.from.clone()).collect();
-                if !reported.insert(key) {
-                    return;
-                }
-                let path = cycle
-                    .iter()
-                    .map(|e| {
-                        format!(
-                            "{} -> {} [{} at {}:{}{}]",
-                            e.from,
-                            e.to,
-                            e.func,
-                            e.file,
-                            e.line,
-                            render_via(&e.via)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                findings.push(LockFinding {
-                    file: cycle.first().map(|e| e.file.clone()).unwrap_or_default(),
-                    line: 0,
-                    diagnostic: Diagnostic::error(
-                        Code::A300LockOrderCycle,
-                        format!("lock-order cycle: {path}"),
-                    ),
-                });
-            },
-        );
-    }
-    findings
-}
-
-fn dfs_cycles<'a>(
-    start: &str,
-    node: &str,
-    adj: &BTreeMap<&str, Vec<&'a LockEdge>>,
-    stack: &mut Vec<&'a LockEdge>,
-    visiting: &mut BTreeSet<String>,
-    report: &mut impl FnMut(&[&'a LockEdge]),
-) {
-    if !visiting.insert(node.to_string()) {
-        return;
-    }
-    if let Some(nexts) = adj.get(node) {
-        for e in nexts {
-            stack.push(e);
-            if e.to == start {
-                report(stack);
-            } else {
-                dfs_cycles(start, &e.to, adj, stack, visiting, report);
-            }
-            stack.pop();
-        }
-    }
 }
 
 /// Audit every source file under `root` (the workspace directory).
@@ -1557,75 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn ascending_nesting_produces_edge_and_no_findings() {
-        let body = "        let g = self.a.lock();\n        let h = self.b.lock();";
-        let src = fixture_crate(body, "");
-        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
-        assert!(
-            audit
-                .edges
-                .iter()
-                .any(|e| e.from == "serve.a" && e.to == "serve.b"),
-            "{:?}",
-            audit.edges
-        );
-        assert!(audit.errors().is_empty(), "{:?}", audit.findings);
-    }
-
-    #[test]
-    fn inverted_nesting_is_a304() {
-        let body = "        let g = self.b.lock();\n        let h = self.a.lock();";
-        let src = fixture_crate("", body);
-        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
-        let codes: Vec<&str> = audit
-            .findings
-            .iter()
-            .map(|f| f.diagnostic.code.as_str())
-            .collect();
-        assert!(codes.contains(&"A304"), "{codes:?}");
-    }
-
-    #[test]
-    fn opposite_orders_in_two_fns_form_a300_cycle_with_witness() {
-        let fwd = "        let g = self.a.lock();\n        let h = self.b.lock();";
-        let back = "        let g = self.b.lock();\n        let h = self.a.lock();";
-        let src = fixture_crate(fwd, back);
-        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
-        let cycle = audit
-            .findings
-            .iter()
-            .find(|f| f.diagnostic.code == Code::A300LockOrderCycle)
-            .expect("cycle reported");
-        let msg = &cycle.diagnostic.message;
-        assert!(msg.contains("serve.a -> serve.b"), "{msg}");
-        assert!(msg.contains("serve.b -> serve.a"), "{msg}");
-        assert!(
-            msg.contains("fwd at") || msg.contains("back at"),
-            "witness sites: {msg}"
-        );
-    }
-
-    #[test]
-    fn interprocedural_edge_carries_call_chain() {
-        let src = format!(
-            "pub struct S {{\n    a: RankedMutex<X>,\n    b: RankedMutex<X>,\n}}\n\
-             impl S {{\n    fn new() -> S {{\n        S {{\n{}\n{}\n        }}\n    }}\n\
-             \n    fn outer(&self) {{\n        let g = self.a.lock();\n        self.inner_step();\n    }}\n\
-             \n    fn inner_step(&self) {{\n        let h = self.b.lock();\n    }}\n}}\n",
-            lockline("a", "Admission", "serve.a"),
-            lockline("b", "Breaker", "serve.b"),
-        );
-        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
-        let edge = audit
-            .edges
-            .iter()
-            .find(|e| e.from == "serve.a" && e.to == "serve.b")
-            .expect("interprocedural edge");
-        assert_eq!(edge.via, vec!["inner_step".to_string()]);
-        assert_eq!(edge.func, "outer");
-    }
-
-    #[test]
     fn blocking_under_guard_is_a301_unless_escaped() {
         let recv = [".recv", "()"].concat();
         let body = format!("        let g = self.a.lock();\n        let x = rx{recv};");
@@ -1655,6 +878,19 @@ mod tests {
         assert_eq!(
             audit.escapes[0].reason.as_deref(),
             Some("drained at shutdown")
+        );
+
+        let sync = [".sync_data", "()"].concat();
+        let body = format!("        let g = self.a.lock();\n        file{sync}?;");
+        let src = fixture_crate(&body, "");
+        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
+        assert!(
+            audit
+                .findings
+                .iter()
+                .any(|f| f.diagnostic.code == Code::A301LockAcrossBlocking),
+            "{:?}",
+            audit.findings
         );
     }
 
@@ -1728,22 +964,5 @@ mod tests {
             "{:?}",
             audit.findings
         );
-    }
-
-    #[test]
-    fn derived_order_respects_edges() {
-        let body = "        let g = self.a.lock();\n        let h = self.b.lock();";
-        let src = fixture_crate(body, "");
-        let audit = audit_sources(&[file("crates/serve/src/x.rs", &src)]);
-        let order = audit.derived_order();
-        let ia = order
-            .iter()
-            .position(|l| l == "serve.a")
-            .expect("a in order");
-        let ib = order
-            .iter()
-            .position(|l| l == "serve.b")
-            .expect("b in order");
-        assert!(ia < ib, "{order:?}");
     }
 }

@@ -1,9 +1,11 @@
-//! Conformance between the two halves of the concurrency discipline:
-//! the static lock graph (`analyze::locks`) and the runtime rank table
-//! (`obs::lockrank`). If either drifts — a new lock without a rank, an
-//! acquisition path that contradicts the table, a rank the static pass
-//! cannot parse — this test fails before the deadlock can.
+//! Conformance between the source and the runtime rank table
+//! (`obs::lockrank`), which is the one lock-order check. The source
+//! audit (`analyze::locks`) must be clean, every rank it extracts must
+//! parse into the table, every runtime rank must be backed by a real
+//! lock, and every A301/A302 escape in the source must be one the
+//! audit honours — a stale escape fails here instead of hiding.
 
+use analyze::lint::{escapes_on, test_mask, workspace_sources};
 use analyze::locks::{audit_workspace, RANKED_CRATES};
 use obs::{LockRank, ALL_RANKS};
 use std::path::Path;
@@ -70,86 +72,6 @@ fn all_runtime_ranks_are_represented_by_real_locks() {
 }
 
 #[test]
-fn every_observed_edge_ascends_the_runtime_ranks() {
-    let audit = audit_workspace(workspace_root()).expect("walk workspace");
-    // The analysis must not be trivially empty: the serve crate's
-    // well-known nestings have to be discovered.
-    let has = |from: &str, to: &str| audit.edges.iter().any(|e| e.from == from && e.to == to);
-    assert!(
-        has("serve.warehouse", "serve.catalog"),
-        "expected warehouse→catalog edge (catalog_for under the warehouse read lock); \
-         edges: {:?}",
-        audit
-            .edges
-            .iter()
-            .map(|e| (&e.from, &e.to))
-            .collect::<Vec<_>>()
-    );
-    assert!(
-        has("serve.warehouse", "serve.cache.shards"),
-        "expected warehouse→cache edge (revalidation touches the cache under the read lock)"
-    );
-
-    let rank_of = |id: &str| {
-        audit
-            .decls
-            .iter()
-            .find(|d| d.id == id)
-            .and_then(|d| d.rank.as_deref())
-            .and_then(LockRank::parse)
-    };
-    for e in &audit.edges {
-        if let (Some(a), Some(b)) = (rank_of(&e.from), rank_of(&e.to)) {
-            assert!(
-                a < b,
-                "edge {} ({a}) -> {} ({b}) at {}:{} does not ascend the rank table",
-                e.from,
-                e.to,
-                e.file,
-                e.line
-            );
-        }
-    }
-}
-
-#[test]
-fn derived_topological_order_is_a_linear_extension_of_the_rank_table() {
-    let audit = audit_workspace(workspace_root()).expect("walk workspace");
-    let order = audit.derived_order();
-    let rank_of = |id: &str| {
-        audit
-            .decls
-            .iter()
-            .find(|d| d.id == id)
-            .and_then(|d| d.rank.as_deref())
-            .and_then(LockRank::parse)
-    };
-    // For every edge-constrained pair, the derived order and the
-    // runtime table must agree on direction.
-    for e in &audit.edges {
-        let ia = order
-            .iter()
-            .position(|l| *l == e.from)
-            .expect("from in order");
-        let ib = order.iter().position(|l| *l == e.to).expect("to in order");
-        assert!(
-            ia < ib,
-            "derived order violates edge {} -> {}",
-            e.from,
-            e.to
-        );
-        if let (Some(a), Some(b)) = (rank_of(&e.from), rank_of(&e.to)) {
-            assert!(
-                (a < b) == (ia < ib),
-                "derived order and rank table disagree on {} vs {}",
-                e.from,
-                e.to
-            );
-        }
-    }
-}
-
-#[test]
 fn ranked_crates_have_no_unranked_locks() {
     let audit = audit_workspace(workspace_root()).expect("walk workspace");
     for d in &audit.decls {
@@ -164,4 +86,54 @@ fn ranked_crates_have_no_unranked_locks() {
             );
         }
     }
+}
+
+#[test]
+fn every_lock_escape_in_the_source_is_honoured() {
+    let audit = audit_workspace(workspace_root()).expect("walk workspace");
+    let mut expected = 0;
+    for (rel, path) in workspace_sources(workspace_root()).expect("walk workspace") {
+        // The audit reads library and bin sources under crates/, not
+        // integration tests, benches or `#[cfg(test)]` code.
+        let krate_src =
+            rel.starts_with("crates/") && !rel.contains("/tests/") && !rel.contains("/benches/");
+        if !krate_src {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path).expect("read source");
+        let mask = test_mask(&source);
+        for (i, line) in source.lines().enumerate() {
+            // Escapes live in plain `//` comments, not doc comments or
+            // string literals that merely mention the grammar.
+            let Some((_, comment)) = line.split_once("//") else {
+                continue;
+            };
+            if mask[i] || comment.starts_with(['/', '!']) {
+                continue;
+            }
+            for (rule, reason) in escapes_on(comment) {
+                if rule != "A301" && rule != "A302" {
+                    continue;
+                }
+                expected += 1;
+                // The audit reports the first line of a merged logical
+                // line, so the escape sits at or below it.
+                assert!(
+                    audit.escapes.iter().any(|e| e.file == rel
+                        && e.rule == rule
+                        && e.reason == reason
+                        && e.line <= i + 1),
+                    "{rel}:{} escapes {rule} but the audit never honours it \
+                     (no matching hazard on that line): remove the escape or \
+                     teach the audit the hazard",
+                    i + 1
+                );
+            }
+        }
+    }
+    assert_eq!(
+        audit.escapes.len(),
+        expected,
+        "every honoured escape is one the source carries"
+    );
 }

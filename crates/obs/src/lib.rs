@@ -15,8 +15,8 @@
 //!   outcomes, the stack's `EXPLAIN ANALYZE`.
 //! * [`lockrank`] — the global [`LockRank`] hierarchy plus
 //!   [`RankedMutex`]/[`RankedRwLock`] wrappers that assert ascending
-//!   acquisition order in debug builds (the dynamic half of the
-//!   concurrency auditor; `repo-lint --locks` is the static half).
+//!   acquisition order in debug builds (the one lock-order check;
+//!   `repo-lint --locks` adds per-function guard-scope checks).
 //! * [`mod@recorder`] — the always-on flight recorder: a thread-sharded
 //!   ring of recent spans, events, failpoint hits, lock acquisitions
 //!   and metric deltas that snapshots into a JSONL [`BlackBox`] when

@@ -1,18 +1,18 @@
-//! Runtime lock-rank enforcement: the dynamic half of the concurrency
-//! auditor.
+//! Runtime lock-rank enforcement: the one lock-order check.
 //!
 //! Every long-lived lock in the serving stack carries a [`LockRank`]
-//! drawn from one global table that mirrors the interprocedural
-//! lock-acquisition graph derived statically by `analyze::locks`
-//! (`repo-lint --locks`). A thread may only acquire a lock whose rank
-//! is **strictly greater** than every rank it already holds; the
+//! drawn from one global table. A thread may only acquire a lock whose
+//! rank is **strictly greater** than every rank it already holds; the
 //! wrappers [`RankedMutex`] and [`RankedRwLock`] verify this on every
 //! acquisition against a thread-local held-rank stack and abort the
 //! acquiring thread with a report naming both locks when the declared
 //! order is violated. Since any cycle in a wait-for graph needs at
 //! least one thread acquiring against the order, a rank-clean run is a
 //! deadlock-free run — and every fault-matrix and benchmark
-//! execution doubles as an order validator.
+//! execution doubles as an order validator. The static audit
+//! (`analyze::locks`, `repo-lint --locks`) does not check order; it
+//! checks that every lock in a ranked crate carries a rank and that no
+//! guard spans a blocking call or `catch_unwind`.
 //!
 //! The check follows the same zero-cost-when-disabled discipline as
 //! `fault` and the tracing layer: one relaxed atomic load on the
@@ -41,11 +41,10 @@ use std::sync::{self};
 /// lock of rank *r* may only acquire locks of rank strictly greater
 /// than *r*.
 ///
-/// The order mirrors the lock-acquisition graph of the serving stack
-/// (outermost, longest-held locks first; innermost leaves last). The
-/// static pass (`analyze::locks`) derives the same order from source
-/// and a conformance test diffs the two, so this table cannot drift
-/// from the code.
+/// The order follows the nestings of the serving stack (outermost,
+/// longest-held locks first; innermost leaves last). Every debug test
+/// run checks each acquisition against it, and the `lock_conformance`
+/// test checks that every rank is backed by a declared lock.
 #[repr(u8)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockRank {
@@ -112,8 +111,8 @@ impl LockRank {
         }
     }
 
-    /// Parse a rank name back into a [`LockRank`] (the static pass
-    /// uses this to compare source-extracted ranks with the table).
+    /// Parse a rank name back into a [`LockRank`] (the conformance
+    /// test checks every source-extracted rank with it).
     pub fn parse(name: &str) -> Option<LockRank> {
         ALL_RANKS.iter().copied().find(|r| r.name() == name)
     }
@@ -145,6 +144,32 @@ pub fn rank_checks_enabled() -> bool {
 /// opt in the same way.
 pub fn set_rank_checks(enabled: bool) {
     CHECKS.store(u8::from(enabled), Ordering::Relaxed);
+}
+
+/// Held by every unit test in this crate that flips the enforcement
+/// flag; dropping it restores the value the test found.
+#[cfg(test)]
+pub(crate) struct RankChecksGuard {
+    found: u8,
+    _lock: sync::MutexGuard<'static, ()>,
+}
+
+#[cfg(test)]
+impl Drop for RankChecksGuard {
+    fn drop(&mut self) {
+        CHECKS.store(self.found, Ordering::Relaxed);
+    }
+}
+
+/// Serialise on the enforcement flag (see [`RankChecksGuard`]).
+#[cfg(test)]
+pub(crate) fn rank_checks_lock() -> RankChecksGuard {
+    static LOCK: sync::Mutex<()> = sync::Mutex::new(());
+    let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    RankChecksGuard {
+        found: CHECKS.load(Ordering::Relaxed),
+        _lock: lock,
+    }
 }
 
 /// One held-lock record on the thread-local stack.
@@ -461,14 +486,6 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Serialises tests that flip the global enforcement flag.
-    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-        LOCK.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn ranks_are_total_ordered_and_parse() {
         let mut prev: Option<LockRank> = None;
@@ -485,7 +502,7 @@ mod tests {
 
     #[test]
     fn ascending_acquisition_is_clean() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(true);
         let a = RankedMutex::new(LockRank::Admission, "t.a", 1);
         let w = RankedRwLock::new(LockRank::Warehouse, "t.w", 2);
@@ -502,12 +519,11 @@ mod tests {
             );
         }
         assert!(held_ranks().is_empty(), "guards must pop on drop");
-        set_rank_checks(false);
     }
 
     #[test]
     fn descending_acquisition_panics_naming_both_locks() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(true);
         let oplog = RankedMutex::new(LockRank::Oplog, "t.oplog", ());
         let wh = RankedRwLock::new(LockRank::Warehouse, "t.warehouse", ());
@@ -525,12 +541,11 @@ mod tests {
         assert!(msg.contains("lock-rank violation"), "{msg}");
         drop(g);
         assert!(held_ranks().is_empty());
-        set_rank_checks(false);
     }
 
     #[test]
     fn equal_rank_reacquisition_is_a_violation() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(true);
         let s1 = RankedMutex::new(LockRank::Cache, "t.shard1", ());
         let s2 = RankedMutex::new(LockRank::Cache, "t.shard2", ());
@@ -540,12 +555,11 @@ mod tests {
         }))
         .is_err());
         drop(g);
-        set_rank_checks(false);
     }
 
     #[test]
     fn disabled_checks_track_nothing() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(false);
         let oplog = RankedMutex::new(LockRank::Oplog, "t.oplog", ());
         let wh = RankedRwLock::new(LockRank::Warehouse, "t.wh", ());
@@ -556,12 +570,11 @@ mod tests {
         drop(g1);
         set_rank_checks(true);
         assert!(rank_checks_enabled());
-        set_rank_checks(false);
     }
 
     #[test]
     fn out_of_order_release_keeps_the_stack_consistent() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(true);
         let a = RankedMutex::new(LockRank::Warehouse, "t.a", ());
         let b = RankedMutex::new(LockRank::Cache, "t.b", ());
@@ -572,12 +585,11 @@ mod tests {
         assert_eq!(held_ranks()[0].1, LockRank::Cache);
         drop(gb);
         assert!(held_ranks().is_empty());
-        set_rank_checks(false);
     }
 
     #[test]
     fn try_lock_is_rank_checked_and_threads_are_independent() {
-        let _fl = flag_lock();
+        let _fl = rank_checks_lock();
         set_rank_checks(true);
         let oplog = std::sync::Arc::new(RankedMutex::new(LockRank::Oplog, "t.oplog", ()));
         let g = oplog.try_lock().expect("uncontended try_lock succeeds");
@@ -589,6 +601,5 @@ mod tests {
         });
         assert_eq!(handle.join().expect("thread joins"), 0);
         drop(g);
-        set_rank_checks(false);
     }
 }

@@ -525,6 +525,7 @@ mod tests {
     #[test]
     fn registration_publishes_spans_and_locks() {
         let _guard = tracing_lock();
+        let _flag = crate::lockrank::rank_checks_lock();
         // Install a subscriber so spans are live and the hooks fire.
         let collector = std::sync::Arc::new(RingCollector::new(64));
         crate::trace::install(collector);
@@ -558,7 +559,6 @@ mod tests {
         assert!(me.held.is_empty());
         drop(worker);
         assert!(!thread_states().iter().any(|s| s.worker == "wd-test-worker"));
-        crate::lockrank::set_rank_checks(false);
         crate::trace::uninstall();
     }
 

@@ -11,7 +11,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::disallowed-methods
 
-echo "==> repo-lint (--locks: zero cycles, zero unranked locks, rank-table conformance)"
+echo "==> repo-lint (--locks: A301 guard across blocking call, A302 guard across catch_unwind, A303 unranked lock)"
 cargo run -q -p analyze --bin repo-lint -- --locks
 
 echo "==> cargo build --release"

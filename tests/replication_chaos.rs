@@ -267,6 +267,30 @@ fn truncation_and_age_out_force_reseed_and_conservative_revalidation() {
     assert!(!served.value.degraded, "re-seeded replica is fresh");
 }
 
+/// A re-seed swaps the snapshot in and purges the replica's cache
+/// while the replica's cursor lock is held. No query runs first, so
+/// the purge is the first cache acquisition: an inverted
+/// `Replication`/`Cache` rank fails here, naming the cursor.
+#[test]
+fn reseed_purges_the_cache_under_the_cursor_lock() {
+    let _lock = fault::test_support::fault_lock();
+    let router = ReplicaRouter::new(
+        small_warehouse(),
+        RouterConfig {
+            replicas: 1,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    router.fail_replica(0);
+    router.append(&one_row(9.9)).unwrap();
+    router.oplog().truncate_before(u64::MAX).unwrap();
+    router.revive_replica(0);
+    router.tick();
+    assert_eq!(router.metrics().reseeds, 1);
+    assert_eq!(router.replica_status()[0].applied_epoch, router.epoch());
+}
+
 /// The per-user quota drills at router level: one abusive session is
 /// rejected with a typed error; bystanders and the rejection counter
 /// are unaffected.
